@@ -5,7 +5,7 @@ Run as a script; everything prints to stdout.
 
 import numpy as np
 
-from diffca import evolve, load_fixture, max_state, parse_expression, render_ascii
+from diffca import evolve, load_fixture, parse_expression, render_ascii
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     maxima = np.array([int(row.max()) for row in pyramid])
     print("Row maxima never increase:", " ".join(map(str, maxima)))
     assert (np.diff(maxima) <= 0).all()
-    print("Largest value anywhere:", max_state(pyramid[0]))
+    print("Largest value anywhere:", int(pyramid[0].max()))
     print()
     print("Capping the generations keeps a partial pyramid:")
     print(render_ascii(evolve(load_fixture("default-p"), max_generations=3)))

@@ -8,13 +8,13 @@ visually regular triangles from short seeds.
 
 import numpy as np
 
-from diffca import evolve, load_fixture, make_symmetric, render_ascii, reverse_input, serialize_expression
+from diffca import evolve, load_fixture, make_symmetric, render_ascii, serialize_expression
 
 
 def main() -> None:
     seed = load_fixture("p1")
     print("seed:      ", serialize_expression(seed))
-    print("reversed:  ", serialize_expression(reverse_input(seed)))
+    print("reversed:  ", serialize_expression(seed.terms[::-1]))
     doubled = make_symmetric(seed)
     print("symmetric: ", serialize_expression(doubled))
     assert doubled.terms == load_fixture("p1-new").terms

@@ -27,12 +27,11 @@ from .engine import (
     InputExpression,
     Pyramid,
     RowTooShort,
+    Triangle,
     as_row,
     evolve,
     make_symmetric,
-    max_state,
     pascal_mod2,
-    reverse_input,
     step,
 )
 from .expressions import (
@@ -86,6 +85,7 @@ __all__ = [
     "RenderSpec",
     "RowTooShort",
     "ShapeMismatch",
+    "Triangle",
     "UnknownFixture",
     "ValueOverflow",
     "as_row",
@@ -99,7 +99,6 @@ __all__ = [
     "load_fixture",
     "make_symmetric",
     "match_row",
-    "max_state",
     "parse_expression",
     "pascal_mod2",
     "render_ascii",
@@ -109,7 +108,6 @@ __all__ = [
     "render_pgm",
     "render_pyramid",
     "render_svg",
-    "reverse_input",
     "serialize_expression",
     "step",
     "__version__",

@@ -24,12 +24,11 @@ __all__ = [
     "Pyramid",
     "RowLike",
     "RowTooShort",
+    "Triangle",
     "as_row",
     "evolve",
     "make_symmetric",
-    "max_state",
     "pascal_mod2",
-    "reverse_input",
     "step",
 ]
 
@@ -124,19 +123,18 @@ def step(row: RowLike) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Pyramid:
-    """Triangular space-time diagram of the difference rule.
+class Triangle:
+    """Rows that shrink by one cell per generation.
 
-    ``rows[0]`` is the input (generation 0) and ``rows[t]`` has
-    ``base_width - t`` cells; a complete pyramid ends in a single cell.
-    Rows are shared, not copied: treat them as read-only.
+    ``rows[0]`` is generation 0 and ``rows[t]`` has ``base_width - t``
+    cells. Rows are shared, not copied: treat them as read-only.
     """
 
     rows: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         if not self.rows:
-            raise ValueError("a pyramid has at least one row")
+            raise ValueError("a triangle has at least one row")
         n = self.rows[0].size
         for t, r in enumerate(self.rows):
             if r.size != n - t:
@@ -150,11 +148,6 @@ class Pyramid:
     def height(self) -> int:
         return len(self.rows)
 
-    @property
-    def complete(self) -> bool:
-        """True when the evolution ran all the way down to one cell."""
-        return self.rows[-1].size == 1
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -163,6 +156,19 @@ class Pyramid:
 
     def __getitem__(self, t: int) -> np.ndarray:
         return self.rows[t]
+
+    def congruent_with(self, other: Triangle) -> bool:
+        """True when both triangles have the same base width and height."""
+        return self.height == other.height and self.base_width == other.base_width
+
+
+class Pyramid(Triangle):
+    """Triangular space-time diagram of the difference rule: rows of cell values."""
+
+    @property
+    def complete(self) -> bool:
+        """True when the evolution ran all the way down to one cell."""
+        return self.rows[-1].size == 1
 
     def to_lists(self) -> list[list[int]]:
         """Rows as plain ``int`` lists (handy for comparisons and JSON)."""
@@ -196,12 +202,6 @@ def _to_expression(p: RowLike) -> InputExpression:
     return InputExpression(terms, "-".join(str(v) for v in terms))
 
 
-def reverse_input(p: RowLike) -> InputExpression:
-    """The input with its terms in reverse order."""
-    terms = _to_expression(p).terms[::-1]
-    return InputExpression(terms, "-".join(str(v) for v in terms))
-
-
 def make_symmetric(p: RowLike) -> InputExpression:
     """Concatenate the input with its own reversal, doubling its length.
 
@@ -211,11 +211,6 @@ def make_symmetric(p: RowLike) -> InputExpression:
     old = _to_expression(p).terms
     terms = old + old[::-1]
     return InputExpression(terms, "-".join(str(v) for v in terms))
-
-
-def max_state(row: RowLike) -> int:
-    """Largest cell value in the row."""
-    return int(as_row(row).max())
 
 
 def pascal_mod2(t: int, i: int) -> int:

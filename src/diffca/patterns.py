@@ -9,52 +9,22 @@ from per-row runs, not vertical or diagonal alignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import Pyramid, RowLike, as_row
+from .engine import Pyramid, RowLike, Triangle, as_row
 
 __all__ = ["HighlightMask", "highlight_pyramid", "match_row"]
 
 
-@dataclass(frozen=True)
-class HighlightMask:
+class HighlightMask(Triangle):
     """Boolean lattice congruent to a pyramid: True marks a matched cell."""
 
-    rows: tuple[np.ndarray, ...]
-
     def __post_init__(self) -> None:
-        if not self.rows:
-            raise ValueError("a mask has at least one row")
-        n = self.rows[0].size
-        for t, r in enumerate(self.rows):
-            if r.size != n - t:
-                raise ValueError(f"mask row {t} has {r.size} cells, expected {n - t}")
+        super().__post_init__()
+        for r in self.rows:
             if r.dtype != np.bool_:
                 raise ValueError(f"mask rows are boolean, got dtype {r.dtype}")
-
-    @property
-    def base_width(self) -> int:
-        return self.rows[0].size
-
-    @property
-    def height(self) -> int:
-        return len(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.rows)
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        return self.rows[t]
-
-    def congruent_with(self, p: Pyramid) -> bool:
-        return self.height == p.height and self.base_width == p.base_width
 
     def count(self) -> int:
         """Total number of highlighted cells."""

@@ -2,20 +2,23 @@
 
 The pyramid layout mirrors the hand-drawn style of difference triangles:
 row t is one cell shorter than row t-1 and is centered beneath it, so each
-child sits visually between its two parents. Raster output uses the plain
-(ASCII) portable-bitmap and portable-graymap formats so golden files stay
-diffable, and every writer here is deterministic: identical inputs give
-byte-identical output.
+child sits visually between its two parents. PBM, PGM and SVG figures all
+come from one layout of paint rows (a pyramid or an elementary-CA diagram
+is one panel, a comparison two); each format only serializes it. Raster
+output uses the plain (ASCII) portable-bitmap and portable-graymap formats
+so golden files stay diffable, and every writer here is deterministic:
+identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .eca import EcaDiagram
-from .engine import Pyramid
+from .engine import CELL_DTYPE, MAX_CELL, Pyramid, Triangle
 from .patterns import HighlightMask
 
 __all__ = [
@@ -39,7 +42,13 @@ PALETTES = ("values", "mask", "grayscale")
 
 FILLED_GLYPH = "#"
 EMPTY_GLYPH = "."
+GRID_COLOR = "#c8c8c8"  # svg cell outlines, drawn from cell_px 6 up
 _PNM_LINE = 70  # plain-format line length cap
+
+# A paint is INK (highlighted, or 1 in a diagram) or a gray level from 0
+# (black) to 255 (white); BLANK, the unpainted cell, is white.
+INK = -1
+BLANK = 255
 
 
 class ShapeMismatch(ValueError):
@@ -48,7 +57,7 @@ class ShapeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """How to draw: output format, raster scale, layout and colors.
+    """How to draw: output format, raster scale, layout and highlight color.
 
     ``palette`` picks what unhighlighted cells show: ``"values"`` keeps the
     digits (ascii) or flat fill (svg), ``"mask"`` blanks them to '.', and
@@ -60,8 +69,6 @@ class RenderSpec:
     alignment: str = "centered"
     palette: str = "values"
     highlight_color: str = "#1a1a1a"
-    base_color: str = "#ffffff"
-    grid_color: str = "#c8c8c8"
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
@@ -118,67 +125,135 @@ def render_ascii(
     return "\n".join(lines)
 
 
-# ------------------------------------------------------------- rasters
+# -------------------------------------------------------------- layout
 
-
-def _band_offset(total_px: int, row_px: int, alignment: str) -> int:
-    return (total_px - row_px) // 2 if alignment == "centered" else 0
-
-
-def _mask_grid(mask: HighlightMask, cell_px: int, alignment: str) -> np.ndarray:
-    w = mask.base_width * cell_px
-    grid = np.zeros((mask.height * cell_px, w), dtype=bool)
-    for t, row in enumerate(mask.rows):
-        x0 = _band_offset(w, row.size * cell_px, alignment)
-        band = np.repeat(row, cell_px)
-        grid[t * cell_px : (t + 1) * cell_px, x0 : x0 + band.size] = band[None, :]
-    return grid
+# (width, height, paint rows) in cells; the rows are made one at a time
+Panel = tuple[int, int, Iterable[np.ndarray]]
 
 
 def _row_grays(row: np.ndarray) -> np.ndarray:
-    """Per-row shading: the row maximum is black, zero is white."""
+    """Per-row shading ``255 * (m - v) // m``: the row maximum m is black, zero white.
+
+    Exact over the whole uint64 range: where ``255 * m`` would overflow 64
+    bits, the arithmetic runs on Python integers.
+    """
     m = int(row.max())
     if m == 0:
-        return np.full(row.size, 255, dtype=np.uint8)
-    scaled = (255 * (m - row.astype(np.int64))) // m
-    return scaled.astype(np.uint8)
+        return np.full(row.size, BLANK, dtype=np.int16)
+    d = m - row.astype(object if m > MAX_CELL // 255 else CELL_DTYPE)
+    return (255 * d // m).astype(np.int16)
 
 
-def _gray_grid(p: Pyramid, cell_px: int, alignment: str) -> np.ndarray:
-    w = p.base_width * cell_px
-    grid = np.full((p.height * cell_px, w), 255, dtype=np.uint8)
-    for t, row in enumerate(p.rows):
-        x0 = _band_offset(w, row.size * cell_px, alignment)
-        band = np.repeat(_row_grays(row), cell_px)
-        grid[t * cell_px : (t + 1) * cell_px, x0 : x0 + band.size] = band[None, :]
-    return grid
+def _triangle_panel(tri: Triangle, ink: HighlightMask | None, shade: bool) -> Panel:
+    """One paint row per row of ``tri``: ink where ``ink`` is set, else gray or blank."""
+
+    def paints() -> Iterator[np.ndarray]:
+        for t, row in enumerate(tri):
+            out = _row_grays(row) if shade else np.full(row.size, BLANK, dtype=np.int16)
+            if ink is not None:
+                out[ink[t]] = INK
+            yield out
+
+    return tri.base_width, tri.height, paints()
 
 
-def _serialize_pbm(grid: np.ndarray) -> bytes:
-    h, w = grid.shape
-    lines = [f"P1\n{w} {h}"]
-    for pixel_row in grid:
-        bits = "".join("1" if v else "0" for v in pixel_row)
-        lines.extend(bits[i : i + _PNM_LINE] for i in range(0, len(bits), _PNM_LINE))
-    return ("\n".join(lines) + "\n").encode("ascii")
+def _diagram_panel(d: EcaDiagram) -> Panel:
+    return d.width, len(d), (np.where(row != 0, INK, BLANK) for row in d.rows)
 
 
-def _serialize_pgm(grid: np.ndarray) -> bytes:
-    h, w = grid.shape
+def _layout(panels: list[Panel], spec: RenderSpec):
+    """Stack the panels one blank cell row apart, each centered on the widest.
+
+    Returns the canvas width and height in pixels and an iterator over the
+    placed rows ``(y, xp, xr, paints)``: ``y`` is the top pixel row, ``xp``
+    the panel's offset in the canvas and ``xr`` the row's offset in its
+    panel, both in half pixels. Rasters floor the two offsets one by one;
+    SVG writes their sum exactly.
+    """
+    cp = spec.cell_px
+    w = max(width for width, _, _ in panels) * cp
+    h = (sum(height for _, height, _ in panels) + len(panels) - 1) * cp
+
+    def placed() -> Iterator[tuple[int, int, int, np.ndarray]]:
+        y = 0
+        for width, _, rows in panels:
+            pw = width * cp
+            for paints in rows:
+                xr = pw - paints.size * cp if spec.alignment == "centered" else 0
+                yield y, w - pw, xr, paints
+                y += cp
+            y += cp
+
+    return w, h, placed()
+
+
+# -------------------------------------------------------- serializers
+
+
+def _raster(panels: list[Panel], spec: RenderSpec) -> np.ndarray:
+    """The layout as a uint8 graymap: ink is black, unpainted pixels white."""
+    cp = spec.cell_px
+    w, h, rows = _layout(panels, spec)
+    canvas = np.full((h, w), BLANK, dtype=np.uint8)
+    for y, xp, xr, paints in rows:
+        x = xp // 2 + xr // 2
+        grays = np.where(paints == INK, 0, paints)
+        canvas[y : y + cp, x : x + paints.size * cp] = np.repeat(grays, cp)
+    return canvas
+
+
+def _pbm(panels: list[Panel], spec: RenderSpec) -> bytes:
+    """Plain portable bitmap: black pixels are 1, so its panels hold only ink and blank."""
+    canvas = _raster(panels, spec)
+    h, w = canvas.shape
+    lines = [f"P1\n{w} {h}".encode("ascii")]
+    for pixel_row in canvas:
+        bits = np.where(pixel_row == 0, b"1", b"0").tobytes()
+        lines.extend(bits[i : i + _PNM_LINE] for i in range(0, w, _PNM_LINE))
+    return b"\n".join(lines) + b"\n"
+
+
+def _pgm(panels: list[Panel], spec: RenderSpec) -> bytes:
+    """Plain portable graymap with maxval 255."""
+    canvas = _raster(panels, spec)
+    h, w = canvas.shape
     lines = [f"P2\n{w} {h}\n255"]
-    for pixel_row in grid:
-        line = ""
-        for v in pixel_row:
-            tok = str(int(v))
-            if not line:
-                line = tok
-            elif len(line) + 1 + len(tok) <= _PNM_LINE:
-                line += " " + tok
-            else:
-                lines.append(line)
-                line = tok
-        lines.append(line)
+    for pixel_row in canvas:
+        # greedy fill: each line breaks at its last space within the cap
+        text, start = " ".join(map(str, pixel_row.tolist())), 0
+        while len(text) - start > _PNM_LINE:
+            cut = text.rfind(" ", start, start + _PNM_LINE + 1)
+            lines.append(text[start:cut])
+            start = cut + 1
+        lines.append(text[start:])
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _svg(panels: list[Panel], spec: RenderSpec) -> str:
+    """SVG 1.1 document with one square per cell, row-major, exact coordinates."""
+    cp = spec.cell_px
+    w, h, rows = _layout(panels, spec)
+    fills = {g: f"#{g:02x}{g:02x}{g:02x}" for g in range(256)}
+    fills[INK] = spec.highlight_color
+    edge = f' stroke="{GRID_COLOR}" stroke-width="1"' if cp >= 6 else ""
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{w}" height="{h}" viewBox="0 0 {w} {h}" '
+        'shape-rendering="crispEdges">'
+    ]
+    for y, xp, xr, paints in rows:
+        x0, half = divmod(xp + xr, 2)
+        frac = ".5" if half else ""
+        parts.extend(
+            f'<rect x="{x0 + i * cp}{frac}" y="{y}" width="{cp}" height="{cp}" '
+            f'fill="{fills[paint]}"{edge}/>'
+            for i, paint in enumerate(paints.tolist())
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+_SERIALIZERS = {"pbm": _pbm, "pgm": _pgm, "svg": _svg}
 
 
 def render_pbm(mask: HighlightMask, spec: RenderSpec | None = None) -> bytes:
@@ -187,64 +262,12 @@ def render_pbm(mask: HighlightMask, spec: RenderSpec | None = None) -> bytes:
     Each cell becomes a ``cell_px`` square; row t occupies the t-th band,
     centered (or flush left). Output is bit-exact for identical inputs.
     """
-    spec = spec or RenderSpec()
-    return _serialize_pbm(_mask_grid(mask, spec.cell_px, spec.alignment))
+    return _pbm([_triangle_panel(mask, mask, shade=False)], spec or RenderSpec())
 
 
 def render_pgm(p: Pyramid, spec: RenderSpec | None = None) -> bytes:
     """Plain portable graymap of an unmasked pyramid, shaded by value."""
-    spec = spec or RenderSpec()
-    return _serialize_pgm(_gray_grid(p, spec.cell_px, spec.alignment))
-
-
-# ----------------------------------------------------------------- svg
-
-
-def _gray_hex(g: int) -> str:
-    return f"#{g:02x}{g:02x}{g:02x}"
-
-
-def _svg_open(w: float, h: float) -> str:
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{w:g}" height="{h:g}" viewBox="0 0 {w:g} {h:g}" '
-        'shape-rendering="crispEdges">'
-    )
-
-
-def _svg_rect(x: float, y: float, size: int, fill: str, stroke: str | None) -> str:
-    edge = f' stroke="{stroke}" stroke-width="1"' if stroke else ""
-    return f'<rect x="{x:g}" y="{y:g}" width="{size}" height="{size}" fill="{fill}"{edge}/>'
-
-
-def _svg_pyramid_rects(
-    p: Pyramid,
-    mask: HighlightMask | None,
-    spec: RenderSpec,
-    y_origin: float = 0.0,
-    x_origin: float = 0.0,
-) -> list[str]:
-    cp = spec.cell_px
-    w = p.base_width * cp
-    stroke = spec.grid_color if cp >= 6 else None
-    shade = spec.palette == "grayscale" or (mask is None and spec.palette == "values")
-    rects = []
-    for t, row in enumerate(p.rows):
-        x0 = x_origin + _band_offset_exact(w, row.size * cp, spec.alignment)
-        grays = _row_grays(row) if shade else None
-        for i, v in enumerate(row):
-            if mask is not None and mask.rows[t][i]:
-                fill = spec.highlight_color
-            elif grays is not None:
-                fill = _gray_hex(int(grays[i]))
-            else:
-                fill = spec.base_color
-            rects.append(_svg_rect(x0 + i * cp, y_origin + t * cp, cp, fill, stroke))
-    return rects
-
-
-def _band_offset_exact(total_px: float, row_px: float, alignment: str) -> float:
-    return (total_px - row_px) / 2 if alignment == "centered" else 0.0
+    return _pgm([_triangle_panel(p, None, shade=True)], spec or RenderSpec())
 
 
 def render_svg(
@@ -259,27 +282,8 @@ def render_svg(
     """
     spec = spec or RenderSpec()
     _check_congruent(p, mask)
-    cp = spec.cell_px
-    parts = [_svg_open(p.base_width * cp, p.height * cp)]
-    parts.extend(_svg_pyramid_rects(p, mask, spec))
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def _svg_diagram_rects(
-    d: EcaDiagram,
-    spec: RenderSpec,
-    y_origin: float = 0.0,
-    x_origin: float = 0.0,
-) -> list[str]:
-    cp = spec.cell_px
-    stroke = spec.grid_color if cp >= 6 else None
-    rects = []
-    for t in range(len(d)):
-        for i, v in enumerate(d.rows[t]):
-            fill = spec.highlight_color if v else spec.base_color
-            rects.append(_svg_rect(x_origin + i * cp, y_origin + t * cp, cp, fill, stroke))
-    return rects
+    shade = spec.palette == "grayscale" or (mask is None and spec.palette == "values")
+    return _svg([_triangle_panel(p, mask, shade)], spec)
 
 
 # ----------------------------------------------------------------- eca
@@ -295,17 +299,7 @@ def render_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> str | bytes:
         return "\n".join(
             "".join(FILLED_GLYPH if v else EMPTY_GLYPH for v in row) for row in d.rows
         )
-    if spec.format == "pbm":
-        grid = np.kron(d.rows != 0, np.ones((spec.cell_px, spec.cell_px), dtype=bool))
-        return _serialize_pbm(grid)
-    if spec.format == "pgm":
-        gray = np.where(d.rows != 0, 0, 255).astype(np.uint8)
-        grid = np.kron(gray, np.ones((spec.cell_px, spec.cell_px), dtype=np.uint8))
-        return _serialize_pgm(grid)
-    parts = [_svg_open(d.width * spec.cell_px, len(d) * spec.cell_px)]
-    parts.extend(_svg_diagram_rects(d, spec))
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _SERIALIZERS[spec.format]([_diagram_panel(d)], spec)
 
 
 # ----------------------------------------------------------- dispatch
@@ -342,13 +336,12 @@ def render_compare(
 ) -> str | bytes:
     """Both panels in one artifact, diagram above pyramid.
 
-    ascii stacks labeled panels; pbm stacks the rasters on a shared
-    canvas; svg stacks the cell grids. pgm has no sensible two-panel
-    composition and is rejected.
+    ascii stacks labeled panels; pbm and svg stack the two panels one
+    blank cell row apart, each centered on the wider. pgm has no sensible
+    two-panel composition and is rejected.
     """
     spec = spec or RenderSpec()
     _check_congruent(p, mask)
-    cp = spec.cell_px
     if spec.format == "ascii":
         panel_spec = replace(spec, palette="mask")
         return (
@@ -357,26 +350,7 @@ def render_compare(
             + f"\n\n== {pyramid_label} ==\n"
             + render_ascii(p, mask, panel_spec)
         )
-    if spec.format == "pbm":
-        top = np.kron(d.rows != 0, np.ones((cp, cp), dtype=bool))
-        bottom = _mask_grid(mask, cp, spec.alignment)
-        w = max(top.shape[1], bottom.shape[1])
-        canvas = np.zeros((top.shape[0] + cp + bottom.shape[0], w), dtype=bool)
-        x_top = (w - top.shape[1]) // 2
-        x_bot = (w - bottom.shape[1]) // 2
-        canvas[: top.shape[0], x_top : x_top + top.shape[1]] = top
-        canvas[top.shape[0] + cp :, x_bot : x_bot + bottom.shape[1]] = bottom
-        return _serialize_pbm(canvas)
-    if spec.format == "svg":
-        w = max(d.width, p.base_width) * cp
-        h = (len(d) + 1 + p.height) * cp
-        parts = [_svg_open(w, h)]
-        parts.extend(_svg_diagram_rects(d, spec, x_origin=(w - d.width * cp) / 2))
-        parts.extend(
-            _svg_pyramid_rects(
-                p, mask, spec, y_origin=(len(d) + 1) * cp, x_origin=(w - p.base_width * cp) / 2
-            )
-        )
-        parts.append("</svg>")
-        return "\n".join(parts)
-    raise ValueError("compare artifacts support ascii, pbm or svg")
+    if spec.format == "pgm":
+        raise ValueError("compare artifacts support ascii, pbm or svg")
+    shade = spec.format == "svg" and spec.palette == "grayscale"
+    return _SERIALIZERS[spec.format]([_diagram_panel(d), _triangle_panel(p, mask, shade)], spec)

@@ -72,6 +72,11 @@ def test_run_artifacts_are_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_run_shades_the_full_cell_range_as_pgm(capsys):
+    assert run_cli("run", "--input", "18446744073709551615-0", "--format", "pgm") == 0
+    assert capsys.readouterr().out == "P2\n2 2\n255\n0 255\n0 255\n"
+
+
 def test_run_rejects_parse_errors_with_exit_1(capsys):
     assert run_cli("run", "--input", "2-x") == 1
     err = capsys.readouterr().err

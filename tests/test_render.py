@@ -1,10 +1,14 @@
 """ascii, PBM/PGM, and SVG output."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffca.eca import eca_evolve, impulse_row
-from diffca.engine import evolve
+from diffca.engine import MAX_CELL, evolve
 from diffca.patterns import highlight_pyramid
 from diffca.render import (
     RenderSpec,
@@ -123,6 +127,31 @@ def test_pgm_renders_all_zero_rows_white():
     assert data.splitlines()[-1] == b"255 255"
 
 
+def _python_grays(values: list[int]) -> list[list[int]]:
+    """Each pyramid row shaded as 255 * (m - v) // m, in Python integers."""
+    out = []
+    while values:
+        m = max(values)
+        out.append([255 * (m - v) // m if m else 255 for v in values])
+        values = [abs(a - b) for a, b in zip(values, values[1:])]
+    return out
+
+
+@given(st.lists(st.integers(0, MAX_CELL), min_size=1, max_size=12))
+@example([10**17, 0, 5 * 10**16])
+@example([MAX_CELL, 0])
+@settings(max_examples=200, deadline=None)
+def test_gray_shading_is_exact_over_the_full_cell_range(values):
+    expected = _python_grays(values)
+    p = evolve(values)
+    fields = render_pgm(p, RenderSpec(format="pgm", alignment="left")).split()
+    pixels = np.array([int(v) for v in fields[4:]]).reshape(len(values), len(values))
+    assert [pixels[t, : len(row)].tolist() for t, row in enumerate(expected)] == expected
+    doc = render_svg(p, spec=RenderSpec(format="svg", palette="grayscale"))
+    fills = [int(g, 16) for g in re.findall(r'fill="#([0-9a-f]{2})', doc)]
+    assert fills == [g for row in expected for g in row]
+
+
 # --------------------------------------------------------------- svg
 
 
@@ -151,6 +180,17 @@ def test_svg_is_self_contained():
 def test_svg_viewbox_matches_the_cell_grid():
     doc = render_svg(evolve([1, 2, 3]), spec=RenderSpec(format="svg", cell_px=10))
     assert 'viewBox="0 0 30 30"' in doc
+
+
+def test_svg_coordinates_are_exact_at_any_scale():
+    doc = render_svg(evolve([1, 2, 3]), spec=RenderSpec(format="svg", cell_px=411523))
+    assert 'width="1234569" height="1234569" viewBox="0 0 1234569 1234569"' in doc
+    xs = re.findall(r'<rect x="([^"]*)" y="([^"]*)"', doc)
+    assert xs == [
+        ("0", "0"), ("411523", "0"), ("823046", "0"),
+        ("205761.5", "411523"), ("617284.5", "411523"),
+        ("411523", "823046"),
+    ]
 
 
 # --------------------------------------------------------------- eca
