@@ -70,6 +70,45 @@ def test_ascii_marks_matches():
     assert render_ascii(p, mask, RenderSpec(palette="mask")) == "# #\n ."
 
 
+def _ascii_by_cell(p, mask, spec: RenderSpec) -> str:
+    """Reference ascii triangle, one token per cell in a Python loop."""
+    token_rows = []
+    for t, row in enumerate(p.rows):
+        tokens = []
+        for i, v in enumerate(row):
+            if mask is not None and mask.rows[t][i]:
+                tokens.append("#")
+            elif mask is not None and spec.palette == "mask":
+                tokens.append(".")
+            else:
+                tokens.append(str(int(v)))
+        token_rows.append(tokens)
+    width = max(len(tok) for tokens in token_rows for tok in tokens)
+    half = (width + 2) // 2
+    lines = []
+    for t, tokens in enumerate(token_rows):
+        indent = " " * (t * half) if spec.alignment == "centered" else ""
+        lines.append(indent + " ".join(tok.rjust(width) for tok in tokens))
+    return "\n".join(lines)
+
+
+@given(st.data(), st.lists(st.integers(0, MAX_CELL), min_size=1, max_size=12))
+@example(None, [MAX_CELL, 0, 7])
+@settings(max_examples=150, deadline=None)
+def test_ascii_matches_a_per_cell_reference(data, values):
+    p = evolve(values)
+    masks = [None]
+    if data is not None:
+        k = data.draw(st.integers(1, min(2, len(values))))
+        i = data.draw(st.integers(0, len(values) - k))
+        masks.append(highlight_pyramid(p, values[i : i + k]))
+    for mask in masks:
+        for palette in ("values", "mask", "grayscale"):
+            for alignment in ("centered", "left"):
+                spec = RenderSpec(palette=palette, alignment=alignment)
+                assert render_ascii(p, mask, spec) == _ascii_by_cell(p, mask, spec)
+
+
 def test_ascii_rejects_foreign_masks():
     mask = highlight_pyramid(evolve([1, 2, 3]), [1])
     with pytest.raises(ShapeMismatch):
