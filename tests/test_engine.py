@@ -211,6 +211,17 @@ def test_step_on_binary_rows_is_xor(bits):
     assert np.array_equal(step(row), np.bitwise_xor(row[:-1], row[1:]))
 
 
+@given(st.lists(st.integers(0, MAX_CELL), min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_evolution_mod_2_is_the_xor_pyramid(values):
+    # |a - b| and a + b have the same parity, so the parities evolve by XOR
+    b = np.array([v % 2 for v in values], dtype=np.uint8)
+    for row in evolve(values):
+        assert np.array_equal(row % 2, b)
+        b = b[:-1] ^ b[1:]
+    assert b.size == 0
+
+
 @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=32))
 @settings(max_examples=150, deadline=None)
 def test_symmetric_inputs_evolve_into_palindromic_rows(values):
