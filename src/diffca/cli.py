@@ -28,9 +28,9 @@ from .eca import (
     impulse_row,
     rule_table,
 )
-from .engine import InputExpression, RowTooShort, evolve, make_symmetric
+from .engine import InputExpression, RowTooShort, TooLarge, evolve, make_symmetric
 from .expressions import ExpressionError, parse_expression, serialize_expression
-from .fixtures import DEFAULT_EVOLUTION, UnknownFixture, fixture_ids, load_fixture
+from .fixtures import DEFAULT_EVOLUTION, FIXTURE_IDS, UnknownFixture, load_fixture
 from .patterns import highlight_pyramid
 from .render import ALIGNMENTS, FORMATS, PALETTES, RenderSpec, render_compare, render_eca, render_pyramid
 
@@ -95,16 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
 _DEFAULT_CELL_PX = {"ascii": 1, "pbm": 1, "pgm": 1, "svg": 12}
 
 
-def _render_spec(args: argparse.Namespace, **overrides) -> RenderSpec:
-    cell_px = args.cell_px if args.cell_px is not None else _DEFAULT_CELL_PX[args.format]
-    fields = {
-        "format": args.format,
-        "cell_px": cell_px,
-        "alignment": getattr(args, "align", "centered"),
-        "palette": getattr(args, "palette", "values"),
-    }
-    fields.update(overrides)
-    return RenderSpec(**fields)
+def _render_spec(args: argparse.Namespace) -> RenderSpec:
+    return RenderSpec(
+        format=args.format,
+        cell_px=args.cell_px if args.cell_px is not None else _DEFAULT_CELL_PX[args.format],
+        alignment=getattr(args, "align", "centered"),
+        palette=getattr(args, "palette", "values"),
+    )
 
 
 def _emit(artifact: str | bytes, out: str | None) -> None:
@@ -226,14 +223,14 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
     check("fixture expressions survive a parse round trip",
           all(parse_expression(serialize_expression(load_fixture(f))).terms
-              == load_fixture(f).terms for f in fixture_ids()))
+              == load_fixture(f).terms for f in FIXTURE_IDS))
 
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
-    for fid in fixture_ids():
+    for fid in FIXTURE_IDS:
         expr = load_fixture(fid)
         print(f"{fid:<10} {len(expr):>4} cells  {serialize_expression(expr)}")
     return 0
@@ -245,6 +242,7 @@ _COMPONENTS: tuple[tuple[type[Exception], str], ...] = (
     (OutOfRange, "rule"),
     (NonBinaryCell, "initial row"),
     (RowTooShort, "input row"),
+    (TooLarge, "size"),
     (OSError, "io"),
     (ValueError, "input"),
 )

@@ -19,11 +19,13 @@ import numpy as np
 __all__ = [
     "CELL_DTYPE",
     "MAX_CELL",
+    "MAX_PYRAMID_CELLS",
     "IndexOutOfRange",
     "InputExpression",
     "Pyramid",
     "RowLike",
     "RowTooShort",
+    "TooLarge",
     "Triangle",
     "as_row",
     "evolve",
@@ -34,10 +36,16 @@ __all__ = [
 
 CELL_DTYPE = np.uint64
 MAX_CELL = 2**64 - 1  # |a - b| <= max(a, b), so the input bound holds forever
+# 400 MB of uint64 cells: a full pyramid of up to 9 999 input cells fits
+MAX_PYRAMID_CELLS = 50_000_000
 
 
 class RowTooShort(ValueError):
     """A difference step needs at least two cells to form one pair."""
+
+
+class TooLarge(ValueError):
+    """A pyramid or a figure would exceed its fixed size budget; nothing was allocated."""
 
 
 class IndexOutOfRange(ValueError):
@@ -179,15 +187,20 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     """Evolve ``input`` down to a single cell (or for ``max_generations`` steps).
 
     A row of n cells yields n rows; a single-cell input is already complete
-    and comes back as a one-row pyramid.
+    and comes back as a one-row pyramid. Raises :class:`TooLarge`, before
+    computing any row, when the pyramid would hold more than
+    :data:`MAX_PYRAMID_CELLS` cells.
     """
-    row = as_row(input).copy()  # generation 0 must not alias caller memory
+    row = as_row(input)
     steps = row.size - 1
     if max_generations is not None:
         if max_generations < 0:
             raise ValueError("max_generations is non-negative")
         steps = min(steps, max_generations)
-    rows = [row]
+    cells = (steps + 1) * (2 * row.size - steps) // 2  # rows of n, n-1, ..., n-steps cells
+    if cells > MAX_PYRAMID_CELLS:
+        raise TooLarge(f"{cells:,} pyramid cells exceed the budget of {MAX_PYRAMID_CELLS:,}")
+    rows = [row.copy()]  # generation 0 must not alias caller memory
     for _ in range(steps):
         rows.append(_abs_diff(rows[-1]))
     for r in rows:

@@ -27,13 +27,12 @@ __all__ = [
     "DEFAULT_EVOLUTION",
     "FIXTURE_IDS",
     "UnknownFixture",
-    "fixture_ids",
     "load_fixture",
 ]
 
 
 class UnknownFixture(KeyError):
-    """No fixture with the requested id; see :func:`fixture_ids`."""
+    """No fixture with the requested id; see :data:`FIXTURE_IDS`."""
 
     def __str__(self) -> str:  # KeyError would add quotes
         return str(self.args[0]) if self.args else ""
@@ -94,8 +93,3 @@ def load_fixture(name: str) -> InputExpression:
         known = ", ".join(FIXTURE_IDS)
         raise UnknownFixture(f"unknown fixture {name!r} (known: {known})") from None
     return parse_expression(source)
-
-
-def fixture_ids() -> tuple[str, ...]:
-    """All known fixture ids, in a stable order."""
-    return FIXTURE_IDS

@@ -12,18 +12,20 @@ identical inputs give byte-identical output.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .eca import EcaDiagram
-from .engine import CELL_DTYPE, MAX_CELL, Pyramid, Triangle
+from .engine import CELL_DTYPE, MAX_CELL, Pyramid, TooLarge, Triangle
 from .patterns import HighlightMask
 
 __all__ = [
     "ALIGNMENTS",
     "FORMATS",
+    "MAX_CANVAS_PIXELS",
     "PALETTES",
     "RenderSpec",
     "ShapeMismatch",
@@ -44,6 +46,8 @@ FILLED_GLYPH = "#"
 EMPTY_GLYPH = "."
 GRID_COLOR = "#c8c8c8"  # svg cell outlines, drawn from cell_px 6 up
 _PNM_LINE = 70  # plain-format line length cap
+# an 8192 x 8192 raster: 64 MiB as uint8, before its plain-text serialization
+MAX_CANVAS_PIXELS = 8192 * 8192
 
 # A paint is INK (highlighted, or 1 in a diagram) or a gray level from 0
 # (black) to 255 (white); BLANK, the unpainted cell, is white.
@@ -79,6 +83,8 @@ class RenderSpec:
             raise ValueError(f"palette is one of {PALETTES}, got {self.palette!r}")
         if self.cell_px < 1:
             raise ValueError("cell_px is at least 1")
+        if not re.fullmatch(r"#[0-9a-fA-F]{6}", self.highlight_color):
+            raise ValueError(f"highlight_color is #rrggbb, got {self.highlight_color!r}")
 
 
 def _check_congruent(p: Pyramid, mask: HighlightMask | None) -> None:
@@ -105,23 +111,21 @@ def render_ascii(
     """
     spec = spec or RenderSpec()
     _check_congruent(p, mask)
-    token_rows: list[list[str]] = []
-    for t, row in enumerate(p.rows):
-        tokens = []
-        for i, v in enumerate(row):
-            if mask is not None and mask.rows[t][i]:
-                tokens.append(FILLED_GLYPH)
-            elif mask is not None and spec.palette == "mask":
-                tokens.append(EMPTY_GLYPH)
-            else:
-                tokens.append(str(int(v)))
-        token_rows.append(tokens)
-    width = max(len(tok) for tokens in token_rows for tok in tokens)
+    blank = mask is not None and spec.palette == "mask"
+    printed = ()  # the cell values that appear as digits, row by row
+    if not blank:
+        printed = p.rows if mask is None else (row[~hits] for row, hits in zip(p, mask))
+    # every token is padded to the longest: one glyph, or the largest printed value
+    width = max((len(str(int(r.max()))) for r in printed if r.size), default=1)
     half = (width + 2) // 2  # half the cell pitch (token + one space), rounded up
     lines = []
-    for t, tokens in enumerate(token_rows):
+    for t, row in enumerate(p.rows):
+        if mask is None:
+            tokens = row.astype(str)
+        else:
+            tokens = np.where(mask[t], FILLED_GLYPH, EMPTY_GLYPH if blank else row.astype(str))
         indent = " " * (t * half) if spec.alignment == "centered" else ""
-        lines.append(indent + " ".join(tok.rjust(width) for tok in tokens))
+        lines.append(indent + " ".join(np.char.rjust(tokens, width).tolist()))
     return "\n".join(lines)
 
 
@@ -194,6 +198,8 @@ def _raster(panels: list[Panel], spec: RenderSpec) -> np.ndarray:
     """The layout as a uint8 graymap: ink is black, unpainted pixels white."""
     cp = spec.cell_px
     w, h, rows = _layout(panels, spec)
+    if w * h > MAX_CANVAS_PIXELS:
+        raise TooLarge(f"a {w}x{h} pixel canvas exceeds the budget of {MAX_CANVAS_PIXELS:,}")
     canvas = np.full((h, w), BLANK, dtype=np.uint8)
     for y, xp, xr, paints in rows:
         x = xp // 2 + xr // 2
@@ -296,9 +302,8 @@ def render_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> str | bytes:
     """
     spec = spec or RenderSpec()
     if spec.format == "ascii":
-        return "\n".join(
-            "".join(FILLED_GLYPH if v else EMPTY_GLYPH for v in row) for row in d.rows
-        )
+        ink, blank = FILLED_GLYPH.encode(), EMPTY_GLYPH.encode()
+        return "\n".join(np.where(row != 0, ink, blank).tobytes().decode() for row in d.rows)
     return _SERIALIZERS[spec.format]([_diagram_panel(d)], spec)
 
 

@@ -6,7 +6,7 @@ import pytest
 from diffca.cli import main
 from diffca.eca import eca_evolve, impulse_row
 from diffca.engine import evolve
-from diffca.fixtures import fixture_ids, load_fixture
+from diffca.fixtures import FIXTURE_IDS, load_fixture
 from diffca.patterns import highlight_pyramid
 from diffca.render import RenderSpec, render_pbm
 
@@ -83,6 +83,17 @@ def test_run_rejects_parse_errors_with_exit_1(capsys):
     assert err.startswith("error: expression:")
     assert run_cli("run", "--fixture", "nope") == 1
     assert "error: fixture:" in capsys.readouterr().err
+
+
+def test_oversized_pyramids_and_figures_fail_with_exit_1(capsys):
+    assert run_cli("run", "--input", "-".join(["0"] * 10_000)) == 1
+    assert capsys.readouterr().err.startswith("error: size:")
+    assert run_cli("run", "--input", "1-2-3", "--format", "pgm",
+                   "--cell-px", "1000000000") == 1
+    assert capsys.readouterr().err.startswith("error: size:")
+    assert run_cli("compare", "--fixture", "a1", "--pattern", "1-", "--rule", "90",
+                   "--format", "pbm", "--cell-px", "100000000") == 1
+    assert capsys.readouterr().err.startswith("error: size:")
 
 
 def test_run_rejects_bad_flag_combinations_with_exit_2(capsys):
@@ -218,7 +229,7 @@ def test_selfcheck_passes_and_reports(capsys):
 def test_fixtures_lists_every_id(capsys):
     assert run_cli("fixtures") == 0
     out = capsys.readouterr().out
-    for fid in fixture_ids():
+    for fid in FIXTURE_IDS:
         assert fid in out
     assert "2-0-1-7-2-0-1-8 " not in out  # serialized rows have no stray blanks
 

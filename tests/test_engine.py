@@ -1,5 +1,8 @@
 """Core evolution rule, pyramid container, and binomial parity."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,12 @@ from hypothesis import strategies as st
 from diffca.engine import (
     CELL_DTYPE,
     MAX_CELL,
+    MAX_PYRAMID_CELLS,
     IndexOutOfRange,
     InputExpression,
     Pyramid,
     RowTooShort,
+    TooLarge,
     as_row,
     evolve,
     make_symmetric,
@@ -138,6 +143,20 @@ def test_evolve_respects_max_generations():
 def test_evolve_rejects_negative_generation_cap():
     with pytest.raises(ValueError):
         evolve([1, 2], max_generations=-1)
+
+
+def test_evolve_refuses_a_pyramid_over_the_cell_budget_before_allocating():
+    n = next(n for n in itertools.count(1) if n * (n + 1) // 2 > MAX_PYRAMID_CELLS)
+    row = np.zeros(n, dtype=CELL_DTYPE)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            evolve(row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < row.nbytes  # not even generation 0 was copied
+    assert evolve(row, max_generations=9).height == 10
 
 
 def test_pyramid_rows_are_read_only():

@@ -10,13 +10,11 @@ from diffca.fixtures import (
     DEFAULT_EVOLUTION,
     FIXTURE_IDS,
     UnknownFixture,
-    fixture_ids,
     load_fixture,
 )
 
 
 def test_every_id_loads():
-    assert fixture_ids() == FIXTURE_IDS
     assert set(FIXTURE_IDS) == {"default-p", "p1", "p1-new", "a1", "a2"}
     for fid in FIXTURE_IDS:
         expr = load_fixture(fid)

@@ -286,6 +286,8 @@ def test_render_spec_validates_fields():
         RenderSpec(alignment="right")
     with pytest.raises(ValueError):
         RenderSpec(palette="rainbow")
+    with pytest.raises(ValueError):
+        RenderSpec(highlight_color='"/><script/>')
 
 
 # ------------------------------------------------------------ compare
