@@ -92,17 +92,17 @@ def _ascii_by_cell(p, mask, spec: RenderSpec) -> str:
     return "\n".join(lines)
 
 
-@given(st.data(), st.lists(st.integers(0, MAX_CELL), min_size=1, max_size=12))
-@example(None, [MAX_CELL, 0, 7])
+@given(
+    st.lists(st.integers(0, MAX_CELL), min_size=1, max_size=12),
+    st.integers(0, 11),
+    st.integers(1, 2),
+)
+@example([MAX_CELL, 0, 7], 0, 1)
 @settings(max_examples=150, deadline=None)
-def test_ascii_matches_a_per_cell_reference(data, values):
+def test_ascii_matches_a_per_cell_reference(values, start, k):
     p = evolve(values)
-    masks = [None]
-    if data is not None:
-        k = data.draw(st.integers(1, min(2, len(values))))
-        i = data.draw(st.integers(0, len(values) - k))
-        masks.append(highlight_pyramid(p, values[i : i + k]))
-    for mask in masks:
+    start %= len(values)  # the pattern is the 1 or 2 cells of the row from here
+    for mask in (None, highlight_pyramid(p, values[start : start + k])):
         for palette in ("values", "mask", "grayscale"):
             for alignment in ("centered", "left"):
                 spec = RenderSpec(palette=palette, alignment=alignment)
