@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffca.eca import (
+    BOUNDARIES,
     EcaDiagram,
     EcaRule,
     NonBinaryCell,
@@ -15,7 +18,7 @@ from diffca.eca import (
     rule_table,
 )
 from diffca.engine import evolve, pascal_mod2
-from diffca.patterns import highlight_pyramid
+from diffca.patterns import HighlightMask, highlight_pyramid
 
 
 # ------------------------------------------------------------ tables
@@ -123,6 +126,37 @@ def test_diagram_rows_are_read_only():
         d.rows[0, 0] = 1
 
 
+def _step_by_cell(row, number, boundary):
+    # the truth table read cell by cell, independent of the stepping code
+    n = len(row)
+
+    def cell(i):
+        if boundary == "periodic":
+            return row[i % n]
+        return row[i] if 0 <= i < n else 0
+
+    return [(number >> (4 * cell(i - 1) + 2 * cell(i) + cell(i + 1))) & 1 for i in range(n)]
+
+
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=40),
+    st.sampled_from(BOUNDARIES),
+    st.integers(0, 8),
+)
+@example([1], "periodic", 3)
+@example([0, 1], "periodic", 2)
+@settings(max_examples=15, deadline=None)
+def test_evolve_matches_repeated_steps_for_every_rule(row, boundary, generations):
+    for number in range(256):
+        assert eca_step(row, number, boundary).tolist() == _step_by_cell(row, number, boundary)
+        expected = [np.asarray(row, dtype=np.uint8)]
+        for _ in range(generations):
+            expected.append(eca_step(expected[-1], number, boundary))
+        d = eca_evolve(row, number, generations, boundary=boundary)
+        assert d.rows.dtype == np.uint8
+        assert np.array_equal(d.rows, np.array(expected)), number
+
+
 def test_rule_90_impulse_is_binomial_parity():
     # closed form: cell (t, c0 + delta) is C(t, (t+delta)/2) mod 2 when
     # t+delta is even, else 0; exact while the cone stays off the edges
@@ -196,6 +230,47 @@ def test_impulse_agreement_fractions_sum_to_one():
     direct, complement = impulse_agreement(mask, 1)
     assert 0.0 <= direct <= 1.0
     assert direct + complement == pytest.approx(1.0)
+
+
+def _agreement_by_cell(mask, j0):
+    # the cone walked cell by cell against pascal_mod2; None when it is empty
+    total = direct = complement = 0
+    for t, row in enumerate(mask.rows):
+        for k in range(t + 1):
+            i = j0 - t + k
+            if 0 <= i < row.size:
+                total += 1
+                if bool(row[i]) == bool(pascal_mod2(t, k)):
+                    direct += 1
+                else:
+                    complement += 1
+    if total == 0:
+        return None
+    return direct / total, complement / total
+
+
+@st.composite
+def masks_and_origins(draw):
+    # any boolean triangle, not only impulse pyramids, and an origin in -3 .. n+3
+    n = draw(st.integers(1, 60))
+    height = draw(st.integers(1, n))
+    cells = height * (2 * n - height + 1) // 2
+    raw = draw(st.binary(min_size=(cells + 7) // 8, max_size=(cells + 7) // 8))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:cells].astype(bool)
+    ends = np.cumsum([n - t for t in range(height)])
+    return HighlightMask(tuple(np.split(bits, ends[:-1]))), draw(st.integers(-3, n + 3))
+
+
+@given(masks_and_origins())
+@settings(max_examples=300, deadline=None)
+def test_impulse_agreement_matches_a_per_cell_reference(case):
+    mask, j0 = case
+    expected = _agreement_by_cell(mask, j0)
+    if expected is None:
+        with pytest.raises(ValueError):
+            impulse_agreement(mask, j0)
+    else:
+        assert impulse_agreement(mask, j0) == expected
 
 
 def test_impulse_agreement_needs_a_valid_origin():

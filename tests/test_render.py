@@ -153,6 +153,41 @@ def test_pbm_left_alignment_starts_every_band_at_zero():
     assert grid[2].tolist() == [False, False, False]
 
 
+def _pbm_by_row(panels, cp):
+    # plain PBM written pixel row by pixel row: the bool-row panels stack one
+    # blank cell row apart, each centered on the widest, every row centered
+    # in its panel, and each pixel row breaks into lines of 70 digits
+    width = max(len(rows[0]) for rows in panels) * cp
+    pixel_rows = []
+    for i, rows in enumerate(panels):
+        if i:
+            pixel_rows += [[False] * width] * cp
+        pw = len(rows[0]) * cp
+        for row in rows:
+            x = (width - pw) // 2 + (pw - len(row) * cp) // 2
+            pixels = [False] * x + [bool(b) for b in row for _ in range(cp)]
+            pixel_rows += [pixels + [False] * (width - len(pixels))] * cp
+    lines = [f"P1\n{width} {len(pixel_rows)}"]
+    for pixels in pixel_rows:
+        text = "".join("1" if b else "0" for b in pixels)
+        lines += [text[i : i + 70] for i in range(0, width, 70)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("cp", [1, 3])
+@pytest.mark.parametrize("n", [1, 69, 70, 71, 140, 141])
+def test_pbm_lines_wrap_like_a_per_row_reference(n, cp):
+    # canvas widths on, just under and just over multiples of the 70-digit line
+    p = evolve([(i * i + i // 3) % 3 for i in range(n)])
+    mask = highlight_pyramid(p, [1])
+    d = eca_evolve(impulse_row(n), 90, n - 1)
+    spec = RenderSpec(format="pbm", cell_px=cp)
+    mask_rows = [row.tolist() for row in mask]
+    assert render_pbm(mask, spec) == _pbm_by_row([mask_rows], cp)
+    expected = _pbm_by_row([[row.tolist() for row in d.rows], mask_rows], cp)
+    assert render_compare(d, p, mask, spec) == expected
+
+
 # --------------------------------------------------------------- pgm
 
 
