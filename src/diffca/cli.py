@@ -23,6 +23,7 @@ from .eca import (
     BOUNDARIES,
     NonBinaryCell,
     OutOfRange,
+    _check_diagram_size,
     eca_evolve,
     impulse_agreement,
     impulse_row,
@@ -148,11 +149,14 @@ def _cmd_eca(args: argparse.Namespace) -> int:
     if args.initial is not None:
         if args.width is not None:
             return _usage_error("--initial already fixes the width; drop --width")
-        initial = parse_expression(args.initial).row()
+        expr = parse_expression(args.initial)
+        _check_diagram_size(args.generations, len(expr))
+        initial = expr.row()
     else:
         width = args.width if args.width is not None else 2 * args.generations + 1
         if width < 1:
             raise ValueError("width is at least 1")
+        _check_diagram_size(args.generations, width)
         initial = impulse_row(width)
     diagram = eca_evolve(initial, rule, args.generations, boundary=args.boundary)
     _emit(render_eca(diagram, _render_spec(args)), args.out)

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .engine import RowLike, as_row, pascal_mod2
+from .engine import MAX_PYRAMID_CELLS, RowLike, TooLarge, as_row
 from .patterns import HighlightMask
 
 __all__ = [
@@ -97,18 +97,42 @@ def impulse_row(width: int, index: int | None = None) -> np.ndarray:
     return row
 
 
+def _periodic(boundary: str) -> bool:
+    """Validate ``boundary``; True when the row wraps around."""
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary is one of {BOUNDARIES}, got {boundary!r}")
+    return boundary == "periodic"
+
+
+def _check_diagram_size(generations: int, width: int) -> None:
+    """Raise :class:`TooLarge` when a diagram would exceed the cell budget."""
+    cells = (generations + 1) * width
+    if cells > MAX_PYRAMID_CELLS:
+        raise TooLarge(f"{cells:,} diagram cells exceed the budget of {MAX_PYRAMID_CELLS:,}")
+
+
+def _step(padded: np.ndarray, table: np.ndarray, periodic: bool, out: np.ndarray) -> None:
+    """Write the successor of the row in ``padded[1:-1]`` into ``out``.
+
+    ``padded`` carries one edge cell on each side: the zero boundary leaves
+    them 0, the periodic one copies the far end of the row into them.
+    """
+    if periodic:
+        padded[0], padded[-1] = padded[-2], padded[1]
+    idx = (padded[:-2] << 2) | (padded[1:-1] << 1) | padded[2:]
+    np.take(table, idx, out=out)
+
+
 def eca_step(row: RowLike, rule: RuleLike, boundary: str = "zero") -> np.ndarray:
     """One synchronous update; the width never changes."""
     r = _as_binary_row(row)
-    rl = _as_rule(rule)
-    if boundary == "zero":
-        padded = np.pad(r, 1, mode="constant")
-    elif boundary == "periodic":
-        padded = np.pad(r, 1, mode="wrap")
-    else:
-        raise ValueError(f"boundary is one of {BOUNDARIES}, got {boundary!r}")
-    idx = (padded[:-2] << 2) | (padded[1:-1] << 1) | padded[2:]
-    return np.asarray(rl.table, dtype=np.uint8)[idx]
+    table = np.asarray(_as_rule(rule).table, dtype=np.uint8)
+    periodic = _periodic(boundary)
+    padded = np.zeros(r.size + 2, dtype=np.uint8)
+    padded[1:-1] = r
+    out = np.empty_like(r)
+    _step(padded, table, periodic, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,15 +161,25 @@ def eca_evolve(
     generations: int,
     boundary: str = "zero",
 ) -> EcaDiagram:
-    """Evolve ``initial`` for ``generations`` steps; row 0 is the input."""
+    """Evolve ``initial`` for ``generations`` steps; row 0 is the input.
+
+    Raises :class:`TooLarge`, before converting the row, when the diagram
+    would hold more than :data:`MAX_PYRAMID_CELLS` cells.
+    """
     if generations < 0:
         raise ValueError("generations is non-negative")
+    periodic = _periodic(boundary)
+    width = initial.size if isinstance(initial, np.ndarray) else len(initial)
+    _check_diagram_size(generations, width)
     rl = _as_rule(rule)
     first = _as_binary_row(initial)
-    rows = np.zeros((generations + 1, first.size), dtype=np.uint8)
+    table = np.asarray(rl.table, dtype=np.uint8)
+    rows = np.empty((generations + 1, first.size), dtype=np.uint8)
     rows[0] = first
+    padded = np.zeros(first.size + 2, dtype=np.uint8)
     for t in range(generations):
-        rows[t + 1] = eca_step(rows[t], rl, boundary)
+        padded[1:-1] = rows[t]
+        _step(padded, table, periodic, rows[t + 1])
     rows.setflags(write=False)
     return EcaDiagram(rows, rl, boundary)
 
@@ -161,17 +195,16 @@ def impulse_agreement(mask: HighlightMask, impulse_index: int) -> tuple[float, f
     Either ratio at 1.0 certifies an exact structural reproduction.
     """
     j0 = int(impulse_index)
-    total = direct = complement = 0
+    total = direct = 0
     for t, row in enumerate(mask.rows):
-        for k in range(t + 1):
-            i = j0 - t + k
-            if 0 <= i < row.size:
-                bit = pascal_mod2(t, k)
-                total += 1
-                if bool(row[i]) == bool(bit):
-                    direct += 1
-                else:
-                    complement += 1
+        # the cone cells i = j0 - t + k that row t holds, and their parity
+        # by pascal_mod2's carry condition (k & (t - k)) == 0
+        lo, hi = max(j0 - t, 0), min(j0, row.size - 1)
+        if lo > hi:
+            continue
+        k = np.arange(lo - j0 + t, hi - j0 + t + 1)
+        total += hi - lo + 1
+        direct += int(np.count_nonzero(row[lo : hi + 1] == ((k & (t - k)) == 0)))
     if total == 0:
         raise ValueError("no cone cells: impulse index outside the pyramid")
-    return direct / total, complement / total
+    return direct / total, (total - direct) / total

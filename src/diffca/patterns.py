@@ -10,7 +10,6 @@ from per-row runs, not vertical or diagonal alignments.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import Pyramid, RowLike, Triangle, as_row
 
@@ -40,15 +39,20 @@ def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
     """
     r = as_row(row)
     s = as_row(pattern)
-    out = np.zeros(r.size, dtype=bool)
     if s.size > r.size:
-        return out
+        return np.zeros(r.size, dtype=bool)
     if s.size == 1:
         return r == s[0]
-    hits = np.flatnonzero((sliding_window_view(r, s.size) == s).all(axis=1))
-    for j in hits:
-        out[j : j + s.size] = True
-    return out
+    m = r.size - s.size + 1  # possible starts
+    starts = r[:m] == s[0]
+    for j in range(1, s.size):
+        starts &= r[j : m + j] == s[j]
+    # +1 where an occurrence starts, -1 just past its end: the running sum
+    # counts the occurrences covering each cell
+    delta = np.zeros(r.size + 1, dtype=np.int64)
+    delta[:m] += starts
+    delta[s.size :] -= starts
+    return np.cumsum(delta[: r.size]) > 0
 
 
 def highlight_pyramid(p: Pyramid, pattern: RowLike) -> HighlightMask:

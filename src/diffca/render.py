@@ -204,19 +204,30 @@ def _raster(panels: list[Panel], spec: RenderSpec) -> np.ndarray:
     for y, xp, xr, paints in rows:
         x = xp // 2 + xr // 2
         grays = np.where(paints == INK, 0, paints)
-        canvas[y : y + cp, x : x + paints.size * cp] = np.repeat(grays, cp)
+        canvas[y : y + cp, x : x + paints.size * cp] = grays if cp == 1 else np.repeat(grays, cp)
     return canvas
 
 
 def _pbm(panels: list[Panel], spec: RenderSpec) -> bytes:
-    """Plain portable bitmap: black pixels are 1, so its panels hold only ink and blank."""
-    canvas = _raster(panels, spec)
-    h, w = canvas.shape
-    lines = [f"P1\n{w} {h}".encode("ascii")]
-    for pixel_row in canvas:
-        bits = np.where(pixel_row == 0, b"1", b"0").tobytes()
-        lines.extend(bits[i : i + _PNM_LINE] for i in range(0, w, _PNM_LINE))
-    return b"\n".join(lines) + b"\n"
+    """Plain portable bitmap: black pixels are 1, so its panels hold only ink and blank.
+
+    Each pixel row is cut into lines of at most ``_PNM_LINE`` digits; all of
+    them are written into one byte buffer whose newlines are laid down first.
+    """
+    digits = np.equal(_raster(panels, spec), 0).view(np.uint8)
+    digits += ord("0")
+    h, w = digits.shape
+    full, rest = divmod(w, _PNM_LINE)
+    head = f"P1\n{w} {h}\n".encode("ascii")
+    line = _PNM_LINE + 1
+    row_bytes = full * line + (rest + 1 if rest else 0)
+    out = np.full(len(head) + h * row_bytes, ord("\n"), dtype=np.uint8)
+    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    body = out[len(head) :].reshape(h, row_bytes)
+    full_lines = body[:, : full * line].reshape(h, full, line)  # a view: only splits an axis
+    full_lines[:, :, :_PNM_LINE] = digits[:, : full * _PNM_LINE].reshape(h, full, _PNM_LINE)
+    body[:, full * line : full * line + rest] = digits[:, full * _PNM_LINE :]
+    return out.tobytes()
 
 
 def _pgm(panels: list[Panel], spec: RenderSpec) -> bytes:

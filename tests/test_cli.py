@@ -94,6 +94,10 @@ def test_oversized_pyramids_and_figures_fail_with_exit_1(capsys):
     assert run_cli("compare", "--fixture", "a1", "--pattern", "1-", "--rule", "90",
                    "--format", "pbm", "--cell-px", "100000000") == 1
     assert capsys.readouterr().err.startswith("error: size:")
+    assert run_cli("eca", "--rule", "90", "--generations", "1000000000") == 1
+    assert capsys.readouterr().err.startswith("error: size:")
+    assert run_cli("eca", "--rule", "90", "--generations", "20000000", "--initial", "0-1-0") == 1
+    assert capsys.readouterr().err.startswith("error: size:")
 
 
 def test_run_rejects_bad_flag_combinations_with_exit_2(capsys):

@@ -1,5 +1,7 @@
 """Elementary (Wolfram) rule reference: tables, stepping, diagrams."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from diffca.eca import (
     impulse_row,
     rule_table,
 )
-from diffca.engine import evolve, pascal_mod2
+from diffca.engine import MAX_PYRAMID_CELLS, TooLarge, evolve, pascal_mod2
 from diffca.patterns import HighlightMask, highlight_pyramid
 
 
@@ -118,6 +120,25 @@ def test_evolve_is_deterministic():
     a = eca_evolve(impulse_row(31), 110, 30)
     b = eca_evolve(impulse_row(31), 110, 30)
     assert np.array_equal(a.rows, b.rows)
+
+
+def test_evolve_rejects_an_unknown_boundary_even_without_steps():
+    with pytest.raises(ValueError):
+        eca_evolve([0, 1, 0], 90, 0, boundary="mirror")
+
+
+def test_evolve_refuses_a_diagram_over_the_cell_budget_before_allocating():
+    row = impulse_row(100_000)
+    generations = MAX_PYRAMID_CELLS // row.size  # one row more than the budget holds
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            eca_evolve(row, 90, generations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < row.nbytes  # the row was not even converted
+    assert eca_evolve(row, 90, 1).generations == 1
 
 
 def test_diagram_rows_are_read_only():
