@@ -127,11 +127,8 @@ def eca_step(row: RowLike, rule: RuleLike, boundary: str = "zero") -> np.ndarray
     """One synchronous update; the width never changes."""
     r = _as_binary_row(row)
     table = np.asarray(_as_rule(rule).table, dtype=np.uint8)
-    periodic = _periodic(boundary)
-    padded = np.zeros(r.size + 2, dtype=np.uint8)
-    padded[1:-1] = r
     out = np.empty_like(r)
-    _step(padded, table, periodic, out)
+    _step(np.pad(r, 1), table, _periodic(boundary), out)
     return out
 
 
