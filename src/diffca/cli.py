@@ -23,13 +23,12 @@ from .eca import (
     BOUNDARIES,
     NonBinaryCell,
     OutOfRange,
-    _check_diagram_size,
     eca_evolve,
     impulse_agreement,
     impulse_row,
     rule_table,
 )
-from .engine import InputExpression, RowTooShort, TooLarge, evolve, make_symmetric
+from .engine import MAX_PYRAMID_CELLS, InputExpression, RowTooShort, TooLarge, evolve, make_symmetric
 from .expressions import ExpressionError, parse_expression, serialize_expression
 from .fixtures import DEFAULT_EVOLUTION, FIXTURE_IDS, UnknownFixture, load_fixture
 from .patterns import highlight_pyramid
@@ -146,18 +145,17 @@ def _cmd_eca(args: argparse.Namespace) -> int:
     rule = rule_table(args.rule)
     if args.generations < 0:
         raise ValueError("generations is non-negative")
+    expr = None
     if args.initial is not None:
         if args.width is not None:
             return _usage_error("--initial already fixes the width; drop --width")
         expr = parse_expression(args.initial)
-        _check_diagram_size(args.generations, len(expr))
-        initial = expr.row()
+        width = len(expr)
     else:
         width = args.width if args.width is not None else 2 * args.generations + 1
-        if width < 1:
-            raise ValueError("width is at least 1")
-        _check_diagram_size(args.generations, width)
-        initial = impulse_row(width)
+    # checked before the row exists: the default impulse row alone is 2T+1 cells
+    TooLarge.check((args.generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
+    initial = impulse_row(width) if expr is None else expr.row()
     diagram = eca_evolve(initial, rule, args.generations, boundary=args.boundary)
     _emit(render_eca(diagram, _render_spec(args)), args.out)
     return 0

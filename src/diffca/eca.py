@@ -79,7 +79,10 @@ def _as_rule(rule: RuleLike) -> EcaRule:
 
 
 def _as_binary_row(row: RowLike) -> np.ndarray:
-    r = as_row(row)
+    # an integer array is checked in its own dtype instead of widened to
+    # uint64; one that fails goes through as_row, which raises its error
+    own = isinstance(row, np.ndarray) and row.dtype.kind in "iub"
+    r = row if own and row.ndim == 1 and row.size and row.min() >= 0 else as_row(row)
     if (r > 1).any():
         raise NonBinaryCell("elementary rows hold only 0 and 1")
     return r.astype(np.uint8)
@@ -102,13 +105,6 @@ def _periodic(boundary: str) -> bool:
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary is one of {BOUNDARIES}, got {boundary!r}")
     return boundary == "periodic"
-
-
-def _check_diagram_size(generations: int, width: int) -> None:
-    """Raise :class:`TooLarge` when a diagram would exceed the cell budget."""
-    cells = (generations + 1) * width
-    if cells > MAX_PYRAMID_CELLS:
-        raise TooLarge(f"{cells:,} diagram cells exceed the budget of {MAX_PYRAMID_CELLS:,}")
 
 
 def _step(padded: np.ndarray, table: np.ndarray, periodic: bool, out: np.ndarray) -> None:
@@ -167,7 +163,7 @@ def eca_evolve(
         raise ValueError("generations is non-negative")
     periodic = _periodic(boundary)
     width = initial.size if isinstance(initial, np.ndarray) else len(initial)
-    _check_diagram_size(generations, width)
+    TooLarge.check((generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
     rl = _as_rule(rule)
     first = _as_binary_row(initial)
     table = np.asarray(rl.table, dtype=np.uint8)

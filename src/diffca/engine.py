@@ -47,6 +47,12 @@ class RowTooShort(ValueError):
 class TooLarge(ValueError):
     """A pyramid or a figure would exceed its fixed size budget; nothing was allocated."""
 
+    @staticmethod
+    def check(count: int, budget: int, what: str) -> None:
+        """Raise when ``count`` (of ``what``, e.g. "pyramid cells") exceeds ``budget``."""
+        if count > budget:
+            raise TooLarge(f"{count:,} {what} exceed the budget of {budget:,}")
+
 
 class IndexOutOfRange(ValueError):
     """Binomial-parity query outside the triangle (i < 0, t < 0 or i > t)."""
@@ -198,8 +204,7 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
             raise ValueError("max_generations is non-negative")
         steps = min(steps, max_generations)
     cells = (steps + 1) * (2 * row.size - steps) // 2  # rows of n, n-1, ..., n-steps cells
-    if cells > MAX_PYRAMID_CELLS:
-        raise TooLarge(f"{cells:,} pyramid cells exceed the budget of {MAX_PYRAMID_CELLS:,}")
+    TooLarge.check(cells, MAX_PYRAMID_CELLS, "pyramid cells")
     rows = [row.copy()]  # generation 0 must not alias caller memory
     for _ in range(steps):
         rows.append(_abs_diff(rows[-1]))
@@ -208,20 +213,13 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     return Pyramid(tuple(rows))
 
 
-def _to_expression(p: RowLike) -> InputExpression:
-    if isinstance(p, InputExpression):
-        return p
-    terms = tuple(int(v) for v in as_row(p))
-    return InputExpression(terms, "-".join(str(v) for v in terms))
-
-
 def make_symmetric(p: RowLike) -> InputExpression:
     """Concatenate the input with its own reversal, doubling its length.
 
     The result is a palindrome, and the difference rule preserves
     palindromes, so every row of its evolution is symmetric.
     """
-    old = _to_expression(p).terms
+    old = tuple(as_row(p).tolist())
     terms = old + old[::-1]
     return InputExpression(terms, "-".join(str(v) for v in terms))
 

@@ -15,7 +15,7 @@ error.
 
 from __future__ import annotations
 
-from .engine import MAX_CELL, InputExpression, RowLike, _to_expression
+from .engine import MAX_CELL, InputExpression, RowLike, as_row
 
 __all__ = [
     "EmptyExpression",
@@ -88,4 +88,4 @@ def parse_expression(text: str) -> InputExpression:
 
 def serialize_expression(p: RowLike) -> str:
     """Terms joined by '-', no trailing separator; inverse of parsing."""
-    return "-".join(str(v) for v in _to_expression(p).terms)
+    return "-".join(map(str, as_row(p).tolist()))

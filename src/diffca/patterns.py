@@ -27,7 +27,7 @@ class HighlightMask(Triangle):
 
     def count(self) -> int:
         """Total number of highlighted cells."""
-        return int(sum(r.sum() for r in self.rows))
+        return sum(np.count_nonzero(r) for r in self.rows)
 
 
 def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .eca import EcaDiagram
-from .engine import CELL_DTYPE, MAX_CELL, Pyramid, TooLarge, Triangle
+from .engine import CELL_DTYPE, MAX_CELL, Pyramid, TooLarge
 from .patterns import HighlightMask
 
 __all__ = [
@@ -131,8 +131,8 @@ def render_ascii(
 
 # -------------------------------------------------------------- layout
 
-# (width, height, paint rows) in cells; the rows are made one at a time
-Panel = tuple[int, int, Iterable[np.ndarray]]
+# (cell rows, paint rows): one paint row per cell row, made one at a time
+Panel = tuple[Sequence[np.ndarray], Iterable[np.ndarray]]
 
 
 def _row_grays(row: np.ndarray) -> np.ndarray:
@@ -148,21 +148,17 @@ def _row_grays(row: np.ndarray) -> np.ndarray:
     return (255 * d // m).astype(np.int16)
 
 
-def _triangle_panel(tri: Triangle, ink: HighlightMask | None, shade: bool) -> Panel:
-    """One paint row per row of ``tri``: ink where ``ink`` is set, else gray or blank."""
+def _panel(rows: Sequence[np.ndarray], ink: Sequence[np.ndarray] | None, shade: bool) -> Panel:
+    """Paint each cell row: ink where the boolean ``ink`` row is set, else gray or blank."""
 
     def paints() -> Iterator[np.ndarray]:
-        for t, row in enumerate(tri):
+        for t, row in enumerate(rows):
             out = _row_grays(row) if shade else np.full(row.size, BLANK, dtype=np.int16)
             if ink is not None:
                 out[ink[t]] = INK
             yield out
 
-    return tri.base_width, tri.height, paints()
-
-
-def _diagram_panel(d: EcaDiagram) -> Panel:
-    return d.width, len(d), (np.where(row != 0, INK, BLANK) for row in d.rows)
+    return rows, paints()
 
 
 def _layout(panels: list[Panel], spec: RenderSpec):
@@ -175,14 +171,14 @@ def _layout(panels: list[Panel], spec: RenderSpec):
     SVG writes their sum exactly.
     """
     cp = spec.cell_px
-    w = max(width for width, _, _ in panels) * cp
-    h = (sum(height for _, height, _ in panels) + len(panels) - 1) * cp
+    w = max(len(rows[0]) for rows, _ in panels) * cp
+    h = (sum(len(rows) for rows, _ in panels) + len(panels) - 1) * cp
 
     def placed() -> Iterator[tuple[int, int, int, np.ndarray]]:
         y = 0
-        for width, _, rows in panels:
-            pw = width * cp
-            for paints in rows:
+        for rows, panel_paints in panels:
+            pw = len(rows[0]) * cp
+            for paints in panel_paints:
                 xr = pw - paints.size * cp if spec.alignment == "centered" else 0
                 yield y, w - pw, xr, paints
                 y += cp
@@ -198,8 +194,7 @@ def _raster(panels: list[Panel], spec: RenderSpec) -> np.ndarray:
     """The layout as a uint8 graymap: ink is black, unpainted pixels white."""
     cp = spec.cell_px
     w, h, rows = _layout(panels, spec)
-    if w * h > MAX_CANVAS_PIXELS:
-        raise TooLarge(f"a {w}x{h} pixel canvas exceeds the budget of {MAX_CANVAS_PIXELS:,}")
+    TooLarge.check(w * h, MAX_CANVAS_PIXELS, f"pixels of a {w}x{h} canvas")
     canvas = np.full((h, w), BLANK, dtype=np.uint8)
     for y, xp, xr, paints in rows:
         x = xp // 2 + xr // 2
@@ -250,9 +245,14 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     """SVG 1.1 document with one square per cell, row-major, exact coordinates."""
     cp = spec.cell_px
     w, h, rows = _layout(panels, spec)
+    edge = f' stroke="{GRID_COLOR}" stroke-width="1"' if cp >= 6 else ""
+    # no rect is longer than one at the canvas corner (every fill is #rrggbb);
+    # the budget is the largest plain PGM the raster budget allows, "255 " a pixel
+    rect = f'<rect x="{w}.5" y="{h}" width="{cp}" height="{cp}" fill="#rrggbb"{edge}/>\n'
+    cells = sum(len(row) for cell_rows, _ in panels for row in cell_rows)
+    TooLarge.check(cells * len(rect), 4 * MAX_CANVAS_PIXELS, "SVG bytes")
     fills = {g: f"#{g:02x}{g:02x}{g:02x}" for g in range(256)}
     fills[INK] = spec.highlight_color
-    edge = f' stroke="{GRID_COLOR}" stroke-width="1"' if cp >= 6 else ""
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}" '
@@ -279,12 +279,12 @@ def render_pbm(mask: HighlightMask, spec: RenderSpec | None = None) -> bytes:
     Each cell becomes a ``cell_px`` square; row t occupies the t-th band,
     centered (or flush left). Output is bit-exact for identical inputs.
     """
-    return _pbm([_triangle_panel(mask, mask, shade=False)], spec or RenderSpec())
+    return _pbm([_panel(mask, mask, shade=False)], spec or RenderSpec())
 
 
 def render_pgm(p: Pyramid, spec: RenderSpec | None = None) -> bytes:
     """Plain portable graymap of an unmasked pyramid, shaded by value."""
-    return _pgm([_triangle_panel(p, None, shade=True)], spec or RenderSpec())
+    return _pgm([_panel(p, None, shade=True)], spec or RenderSpec())
 
 
 def render_svg(
@@ -295,12 +295,14 @@ def render_svg(
     """SVG 1.1 document with one rectangle per cell, emitted row-major.
 
     Highlighted cells take the highlight color; without a mask the cells
-    are shaded by value so the triangle stays readable.
+    are shaded by value so the triangle stays readable. Raises
+    :class:`TooLarge`, before writing any rect, when cells × the longest
+    rect would exceed ``4 * MAX_CANVAS_PIXELS`` bytes.
     """
     spec = spec or RenderSpec()
     _check_congruent(p, mask)
     shade = spec.palette == "grayscale" or (mask is None and spec.palette == "values")
-    return _svg([_triangle_panel(p, mask, shade)], spec)
+    return _svg([_panel(p, mask, shade)], spec)
 
 
 # ----------------------------------------------------------------- eca
@@ -315,7 +317,7 @@ def render_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> str | bytes:
     if spec.format == "ascii":
         ink, blank = FILLED_GLYPH.encode(), EMPTY_GLYPH.encode()
         return "\n".join(np.where(row != 0, ink, blank).tobytes().decode() for row in d.rows)
-    return _SERIALIZERS[spec.format]([_diagram_panel(d)], spec)
+    return _SERIALIZERS[spec.format]([_panel(d.rows, d.rows.view(bool), shade=False)], spec)
 
 
 # ----------------------------------------------------------- dispatch
@@ -369,4 +371,5 @@ def render_compare(
     if spec.format == "pgm":
         raise ValueError("compare artifacts support ascii, pbm or svg")
     shade = spec.format == "svg" and spec.palette == "grayscale"
-    return _SERIALIZERS[spec.format]([_diagram_panel(d), _triangle_panel(p, mask, shade)], spec)
+    diagram = _panel(d.rows, d.rows.view(bool), shade=False)
+    return _SERIALIZERS[spec.format]([diagram, _panel(p, mask, shade)], spec)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diffca import render
 from diffca.cli import main
 from diffca.eca import eca_evolve, impulse_row
 from diffca.engine import evolve
@@ -85,8 +86,12 @@ def test_run_rejects_parse_errors_with_exit_1(capsys):
     assert "error: fixture:" in capsys.readouterr().err
 
 
-def test_oversized_pyramids_and_figures_fail_with_exit_1(capsys):
+def test_oversized_pyramids_and_figures_fail_with_exit_1(capsys, monkeypatch):
     assert run_cli("run", "--input", "-".join(["0"] * 10_000)) == 1
+    assert capsys.readouterr().err.startswith("error: size:")
+    assert run_cli("run", "--input", "-".join(["0"] * 2400), "--format", "svg") == 1
+    assert capsys.readouterr().err.startswith("error: size:")
+    assert run_cli("eca", "--rule", "90", "--generations", "1700", "--format", "svg") == 1
     assert capsys.readouterr().err.startswith("error: size:")
     assert run_cli("run", "--input", "1-2-3", "--format", "pgm",
                    "--cell-px", "1000000000") == 1
@@ -97,6 +102,11 @@ def test_oversized_pyramids_and_figures_fail_with_exit_1(capsys):
     assert run_cli("eca", "--rule", "90", "--generations", "1000000000") == 1
     assert capsys.readouterr().err.startswith("error: size:")
     assert run_cli("eca", "--rule", "90", "--generations", "20000000", "--initial", "0-1-0") == 1
+    assert capsys.readouterr().err.startswith("error: size:")
+    # no fixture is wide enough to reach the SVG byte budget, so shrink it
+    monkeypatch.setattr(render, "MAX_CANVAS_PIXELS", 1000)
+    assert run_cli("compare", "--fixture", "a1", "--pattern", "1-", "--rule", "90",
+                   "--format", "svg") == 1
     assert capsys.readouterr().err.startswith("error: size:")
 
 

@@ -13,6 +13,7 @@ from diffca.eca import (
     EcaRule,
     NonBinaryCell,
     OutOfRange,
+    _as_binary_row,
     eca_evolve,
     eca_step,
     impulse_agreement,
@@ -86,6 +87,35 @@ def test_step_rule_110_example():
 def test_step_rejects_non_binary_rows():
     with pytest.raises(NonBinaryCell):
         eca_step([0, 2, 1], 90)
+
+
+@pytest.mark.parametrize(
+    "row, error, text",
+    [
+        (np.array([0, 2], dtype=np.int16), NonBinaryCell, "only 0 and 1"),
+        (np.array([2, -1], dtype=np.int8), ValueError, "naturals"),
+        (np.array([[0, 1]]), ValueError, "one-dimensional"),
+        (np.array([], dtype=np.uint8), ValueError, "nonempty"),
+        (np.array([0.0, 1.0]), ValueError, "integers"),
+    ],
+)
+def test_binary_rows_name_what_is_wrong_with_an_array(row, error, text):
+    with pytest.raises(error, match=text) as err:
+        _as_binary_row(row)
+    assert type(err.value) is error
+
+
+def test_binary_rows_are_checked_in_their_own_dtype():
+    row = impulse_row(1_000_000)
+    tracemalloc.start()
+    try:
+        binary = _as_binary_row(row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * row.nbytes  # no uint64 copy of the row on the way
+    assert binary.dtype == np.uint8 and np.array_equal(binary, row)
+    assert _as_binary_row(np.array([True, False])).tolist() == [1, 0]
 
 
 def test_step_rejects_unknown_boundary():

@@ -1,6 +1,7 @@
 """ascii, PBM/PGM, and SVG output."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffca.eca import eca_evolve, impulse_row
-from diffca.engine import MAX_CELL, evolve
+from diffca.engine import MAX_CELL, TooLarge, evolve
 from diffca.patterns import highlight_pyramid
 from diffca.render import (
     RenderSpec,
@@ -254,6 +255,26 @@ def test_svg_is_self_contained():
 def test_svg_viewbox_matches_the_cell_grid():
     doc = render_svg(evolve([1, 2, 3]), spec=RenderSpec(format="svg", cell_px=10))
     assert 'viewBox="0 0 30 30"' in doc
+
+
+def test_svg_refuses_a_document_over_its_byte_budget_before_writing():
+    spec = RenderSpec(format="svg", cell_px=12)  # about 100 bytes a rect
+    p = evolve(np.zeros(2400, dtype=np.uint64))  # 2 881 200 rects
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            render_svg(p, spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(row.nbytes for row in p)
+    # diagrams and compare figures share the guard: this diagram alone is over it
+    d = eca_evolve(impulse_row(1700), 90, 1699)
+    small = evolve([0, 1, 0])
+    with pytest.raises(TooLarge):
+        render_eca(d, spec)
+    with pytest.raises(TooLarge):
+        render_compare(d, small, highlight_pyramid(small, [1]), spec)
 
 
 def test_svg_coordinates_are_exact_at_any_scale():
