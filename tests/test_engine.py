@@ -255,3 +255,24 @@ def test_evolve_contracts_one_cell_per_generation(values):
     p = evolve(values)
     assert [row.size for row in p] == list(range(len(values), 0, -1))
     assert np.array_equal(p.rows[0], as_row(values))
+
+
+@given(
+    st.lists(st.integers(0, MAX_CELL), min_size=1, max_size=200),
+    st.none() | st.integers(0, 250),
+)
+@settings(max_examples=150, deadline=None)
+def test_evolve_matches_repeated_steps(values, cap):
+    p = evolve(values, max_generations=cap)
+    assert p.height == (len(values) if cap is None else min(len(values), cap + 1))
+    expected = as_row(values)
+    for t, row in enumerate(p):
+        assert row.size == p.base_width - t
+        assert np.array_equal(row, expected), t
+        with pytest.raises(ValueError):
+            row[0] = 0
+        if t + 1 < p.height:
+            expected = step(expected)
+    loose = Pyramid(tuple(row.copy() for row in p))
+    assert loose.height == p.height
+    assert all(np.array_equal(a, b) for a, b in zip(loose, p))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffca.engine import as_row, evolve
+from diffca.engine import MAX_CELL, as_row, evolve
 from diffca.patterns import HighlightMask, highlight_pyramid, match_row
 
 # ------------------------------------------------------------ oracle
@@ -110,3 +112,35 @@ def test_congruence_notices_mismatched_pyramids():
     mask = highlight_pyramid(evolve([1, 2, 3]), [1])
     assert not mask.congruent_with(evolve([1, 2]))
     assert not mask.congruent_with(evolve([1, 2, 3], max_generations=1))
+
+
+@st.composite
+def _pyramid_and_pattern(draw):
+    """A pyramid plus 1-8 cells read from its rows in packed (row-major) order.
+
+    Half the draws straddle a row end, so a matcher that scans all rows as
+    one sequence must not report the occurrence.
+    """
+    values = draw(st.lists(st.integers(0, 3) | st.integers(0, MAX_CELL), min_size=1, max_size=60))
+    p = evolve(values)
+    flat = [v for row in p.to_lists() for v in row]
+    k = min(draw(st.integers(1, 8)), len(flat))
+    if k > 1 and p.height > 1 and draw(st.booleans()):
+        t = draw(st.integers(0, p.height - 2))
+        row_end = sum(p.base_width - s for s in range(t + 1))
+        start = row_end - draw(st.integers(1, min(k - 1, p.base_width - t)))
+    else:
+        start = draw(st.integers(0, len(flat) - k))
+    return p, flat[start : start + k]
+
+
+@given(_pyramid_and_pattern())
+@settings(max_examples=200, deadline=None)
+def test_highlight_matches_every_row_on_its_own(case):
+    p, pattern = case
+    mask = highlight_pyramid(p, pattern)
+    assert mask.congruent_with(p)
+    for row, hits in zip(p, mask):
+        assert np.array_equal(hits, match_row(row, pattern))
+        assert hits.tolist() == naive_flags(row.tolist(), pattern)
+    assert mask.count() == sum(int(np.count_nonzero(hits)) for hits in mask)
