@@ -11,7 +11,9 @@ give identical outputs, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -119,10 +121,15 @@ def as_row(values: RowLike) -> np.ndarray:
     return arr.astype(CELL_DTYPE)
 
 
-def _abs_diff(row: np.ndarray) -> np.ndarray:
-    # unsigned-safe |a - b|; plain subtraction would wrap
-    a, b = row[:-1], row[1:]
-    return np.where(a >= b, a - b, b - a)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    # unsigned-safe |a - b| = max - min, written into out; plain subtraction would wrap
+    np.maximum(a, b, out=out)
+    return np.subtract(out, np.minimum(a, b, out=scratch), out=out)
 
 
 def step(row: RowLike) -> np.ndarray:
@@ -133,37 +140,51 @@ def step(row: RowLike) -> np.ndarray:
     r = as_row(row)
     if r.size < 2:
         raise RowTooShort("a difference step needs at least two cells")
-    return _abs_diff(r)
+    return _abs_diff(r[:-1], r[1:], np.empty(r.size - 1, CELL_DTYPE), np.empty(r.size - 1, CELL_DTYPE))
 
 
-@dataclass(frozen=True)
 class Triangle:
-    """Rows that shrink by one cell per generation.
+    """Rows that shrink by one cell per generation, packed into one buffer.
 
     ``rows[0]`` is generation 0 and ``rows[t]`` has ``base_width - t``
-    cells. Rows are shared, not copied: treat them as read-only.
+    cells. The rows lie back to back in one read-only array (packed
+    triangular storage, like LAPACK's ``TP`` format) and ``rows`` are
+    views into it. ``Triangle(rows)`` packs loose rows with one copy.
     """
 
-    rows: tuple[np.ndarray, ...]
+    def __init__(self, rows: Sequence[np.ndarray]) -> None:
+        sizes = np.fromiter(map(np.size, rows), dtype=np.intp)
+        if not sizes.size or (sizes != sizes[0] - np.arange(sizes.size)).any():
+            raise ValueError(f"a triangle has rows of n, n - 1, ... cells, got {sizes.tolist()}")
+        self._cells, self._starts = _frozen(np.concatenate(rows)), _frozen(np.append(0, np.cumsum(sizes)))
 
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise ValueError("a triangle has at least one row")
-        n = self.rows[0].size
-        for t, r in enumerate(self.rows):
-            if r.size != n - t:
-                raise ValueError(f"row {t} has {r.size} cells, expected {n - t}")
+    @classmethod
+    def _packed(cls, cells: np.ndarray, starts: np.ndarray) -> Triangle:
+        """Wrap packed cells without a copy; row t is ``cells[starts[t]:starts[t + 1]]``."""
+        self = cls.__new__(cls)
+        self._cells, self._starts = _frozen(cells), _frozen(starts)
+        return self
+
+    @property
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(cells, starts)``: the read-only buffer and its height + 1 row offsets."""
+        return self._cells, self._starts
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        s = self._starts.tolist()  # views made on first use: the packed kernels never need them
+        return tuple(self._cells[a:b] for a, b in zip(s, s[1:]))
 
     @property
     def base_width(self) -> int:
-        return self.rows[0].size
+        return int(self._starts[1])
 
     @property
     def height(self) -> int:
-        return len(self.rows)
+        return self._starts.size - 1
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.height
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.rows)
@@ -182,11 +203,11 @@ class Pyramid(Triangle):
     @property
     def complete(self) -> bool:
         """True when the evolution ran all the way down to one cell."""
-        return self.rows[-1].size == 1
+        return self.height == self.base_width
 
     def to_lists(self) -> list[list[int]]:
         """Rows as plain ``int`` lists (handy for comparisons and JSON)."""
-        return [[int(v) for v in r] for r in self.rows]
+        return [r.tolist() for r in self.rows]
 
 
 def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
@@ -198,19 +219,28 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     :data:`MAX_PYRAMID_CELLS` cells.
     """
     row = as_row(input)
-    steps = row.size - 1
+    n = row.size
+    steps = n - 1
     if max_generations is not None:
+        try:
+            max_generations = operator.index(max_generations)
+        except TypeError:
+            raise TypeError(f"max_generations is an integer, got {max_generations!r}") from None
         if max_generations < 0:
             raise ValueError("max_generations is non-negative")
         steps = min(steps, max_generations)
-    cells = (steps + 1) * (2 * row.size - steps) // 2  # rows of n, n-1, ..., n-steps cells
-    TooLarge.check(cells, MAX_PYRAMID_CELLS, "pyramid cells")
-    rows = [row.copy()]  # generation 0 must not alias caller memory
-    for _ in range(steps):
-        rows.append(_abs_diff(rows[-1]))
-    for r in rows:
-        r.setflags(write=False)
-    return Pyramid(tuple(rows))
+    size = (steps + 1) * (2 * n - steps) // 2  # rows of n, n-1, ..., n-steps cells
+    TooLarge.check(size, MAX_PYRAMID_CELLS, "pyramid cells")
+    cells = np.empty(size, CELL_DTYPE)
+    cells[:n] = row  # generation 0 must not alias caller memory
+    scratch = np.empty(n - 1, CELL_DTYPE)
+    lo = 0
+    for w in range(n, n - steps, -1):  # row t is cells[lo:lo + w]; row t + 1 follows it
+        a, b, out = cells[lo : lo + w - 1], cells[lo + 1 : lo + w], cells[lo + w : lo + 2 * w - 1]
+        _abs_diff(a, b, out, scratch[: w - 1])
+        lo += w
+    t = np.arange(steps + 2)
+    return Pyramid._packed(cells, t * (2 * n + 1 - t) // 2)
 
 
 def make_symmetric(p: RowLike) -> InputExpression:

@@ -19,15 +19,39 @@ __all__ = ["HighlightMask", "highlight_pyramid", "match_row"]
 class HighlightMask(Triangle):
     """Boolean lattice congruent to a pyramid: True marks a matched cell."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for r in self.rows:
-            if r.dtype != np.bool_:
-                raise ValueError(f"mask rows are boolean, got dtype {r.dtype}")
+    def __init__(self, rows) -> None:
+        super().__init__(rows)
+        cells = self.packed[0]
+        if cells.dtype != np.bool_:
+            raise ValueError(f"mask rows are boolean, got dtype {cells.dtype}")
 
     def count(self) -> int:
         """Total number of highlighted cells."""
-        return sum(np.count_nonzero(r) for r in self.rows)
+        return int(np.count_nonzero(self.packed[0]))
+
+
+def _cover(cells: np.ndarray, s: np.ndarray, row_ends: np.ndarray) -> np.ndarray:
+    """Cells covered by an occurrence of ``s``, over rows packed back to back.
+
+    Row r of ``cells`` ends just before ``row_ends[r]``; no occurrence crosses a row end.
+    """
+    if s.size == 1:
+        return cells == s[0]
+    if s.size > cells.size:
+        return np.zeros(cells.size, dtype=bool)
+    m = cells.size - s.size + 1  # possible starts
+    starts = cells[:m] == s[0]
+    for j in range(1, s.size):
+        starts &= cells[j : m + j] == s[j]
+    # an occurrence starting within s.size - 1 cells of a row end crosses it
+    crossing = (row_ends[:, None] - np.arange(1, s.size)).ravel()
+    starts[crossing[(crossing >= 0) & (crossing < m)]] = False
+    # +1 where an occurrence starts, -1 just past its end: the running sum
+    # counts the occurrences covering each cell
+    delta = np.zeros(cells.size + 1, dtype=np.int32)
+    delta[:m] += starts
+    delta[s.size :] -= starts
+    return np.cumsum(delta[: cells.size], dtype=np.int32) > 0
 
 
 def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
@@ -38,24 +62,10 @@ def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
     length >= 2 can reveal the difference.
     """
     r = as_row(row)
-    s = as_row(pattern)
-    if s.size > r.size:
-        return np.zeros(r.size, dtype=bool)
-    if s.size == 1:
-        return r == s[0]
-    m = r.size - s.size + 1  # possible starts
-    starts = r[:m] == s[0]
-    for j in range(1, s.size):
-        starts &= r[j : m + j] == s[j]
-    # +1 where an occurrence starts, -1 just past its end: the running sum
-    # counts the occurrences covering each cell
-    delta = np.zeros(r.size + 1, dtype=np.int64)
-    delta[:m] += starts
-    delta[s.size :] -= starts
-    return np.cumsum(delta[: r.size]) > 0
+    return _cover(r, as_row(pattern), np.array([r.size]))
 
 
 def highlight_pyramid(p: Pyramid, pattern: RowLike) -> HighlightMask:
     """Match every pyramid row; the mask shape mirrors the pyramid."""
-    s = as_row(pattern)
-    return HighlightMask(tuple(match_row(r, s) for r in p.rows))
+    cells, starts = p.packed
+    return HighlightMask._packed(_cover(cells, as_row(pattern), starts[1:]), starts)

@@ -112,20 +112,20 @@ def render_ascii(
     spec = spec or RenderSpec()
     _check_congruent(p, mask)
     blank = mask is not None and spec.palette == "mask"
-    printed = ()  # the cell values that appear as digits, row by row
-    if not blank:
-        printed = p.rows if mask is None else (row[~hits] for row, hits in zip(p, mask))
+    printed = True if mask is None else ~mask.packed[0]  # the cells shown as digits
     # every token is padded to the longest: one glyph, or the largest printed value
-    width = max((len(str(int(r.max()))) for r in printed if r.size), default=1)
+    width = 1 if blank else len(str(int(p.packed[0].max(initial=0, where=printed))))
     half = (width + 2) // 2  # half the cell pitch (token + one space), rounded up
     lines = []
     for t, row in enumerate(p.rows):
-        if mask is None:
-            tokens = row.astype(str)
-        else:
-            tokens = np.where(mask[t], FILLED_GLYPH, EMPTY_GLYPH if blank else row.astype(str))
+        # digits via the narrowest dtype that holds the row make short tokens
+        tokens = EMPTY_GLYPH if blank else row.astype(np.min_scalar_type(row.max(initial=0))).astype(str)
+        if mask is not None:
+            tokens = np.where(mask[t], FILLED_GLYPH, tokens)
+        if width > 1 and np.char.str_len(tokens).min(initial=width) < width:
+            tokens = np.char.rjust(tokens, width)
         indent = " " * (t * half) if spec.alignment == "centered" else ""
-        lines.append(indent + " ".join(np.char.rjust(tokens, width).tolist()))
+        lines.append(indent + " ".join(tokens.tolist()))
     return "\n".join(lines)
 
 

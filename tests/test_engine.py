@@ -145,6 +145,29 @@ def test_evolve_rejects_negative_generation_cap():
         evolve([1, 2], max_generations=-1)
 
 
+@pytest.mark.parametrize("cap", [1.5, "2", 2.0])
+def test_evolve_rejects_a_non_integer_generation_cap_before_the_budget(cap):
+    over_budget = np.zeros(10_000, dtype=CELL_DTYPE)
+    with pytest.raises(TypeError, match="max_generations"):
+        evolve([1, 2, 3], max_generations=cap)
+    with pytest.raises(TypeError, match="max_generations"):
+        evolve(over_budget, max_generations=cap)
+    assert evolve([1, 2, 3], max_generations=np.int64(1)).height == 2
+
+
+def test_evolve_peaks_at_the_pyramid_plus_a_few_rows():
+    row = np.random.default_rng(5).integers(0, MAX_CELL, 2000, dtype=CELL_DTYPE, endpoint=True)
+    tracemalloc.start()
+    try:
+        p = evolve(row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells, starts = p.packed
+    assert cells.size == starts[-1] == 2000 * 2001 // 2
+    assert peak < cells.nbytes + 8 * row.nbytes
+
+
 def test_evolve_refuses_a_pyramid_over_the_cell_budget_before_allocating():
     n = next(n for n in itertools.count(1) if n * (n + 1) // 2 > MAX_PYRAMID_CELLS)
     row = np.zeros(n, dtype=CELL_DTYPE)
@@ -276,3 +299,5 @@ def test_evolve_matches_repeated_steps(values, cap):
     loose = Pyramid(tuple(row.copy() for row in p))
     assert loose.height == p.height
     assert all(np.array_equal(a, b) for a, b in zip(loose, p))
+    with pytest.raises(ValueError):
+        loose[-1][0] = 0

@@ -1,5 +1,7 @@
 """Row matching and pyramid highlighting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,19 @@ def test_mask_shape_is_validated():
         HighlightMask((np.zeros(3, dtype=np.uint8),))  # bool rows only
     with pytest.raises(ValueError):
         HighlightMask(())
+
+
+def test_single_cell_highlight_peaks_at_the_mask_plus_a_few_rows():
+    row = np.random.default_rng(6).integers(0, 10, 2000, dtype=np.uint64)
+    p = evolve(row)
+    tracemalloc.start()
+    try:
+        mask = highlight_pyramid(p, [3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.packed[0].nbytes == 2000 * 2001 // 2
+    assert peak < mask.packed[0].nbytes + 8 * row.nbytes
 
 
 def test_congruence_notices_mismatched_pyramids():
