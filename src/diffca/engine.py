@@ -11,6 +11,7 @@ give identical outputs, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import mmap
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,6 +166,21 @@ class Triangle:
         self._cells, self._starts = _frozen(cells), _frozen(starts)
         return self
 
+    @staticmethod
+    def _buffer(size: int, dtype: type) -> np.ndarray:
+        """An uninitialised array for packed cells; from 1 MiB on, in its own memory map.
+
+        Freeing a map returns its pages at once. Buffers of a few MiB from
+        malloc's heap stay resident after they are freed, and the heap grows
+        with every new pyramid size.
+        """
+        nbytes = size * np.dtype(dtype).itemsize
+        if nbytes < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):  # small, or not Linux
+            return np.empty(size, dtype)
+        m = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        m.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for large arrays: fewer page faults
+        return np.frombuffer(m, dtype, count=size)
+
     @property
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
         """``(cells, starts)``: the read-only buffer and its height + 1 row offsets."""
@@ -231,7 +247,7 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
         steps = min(steps, max_generations)
     size = (steps + 1) * (2 * n - steps) // 2  # rows of n, n-1, ..., n-steps cells
     TooLarge.check(size, MAX_PYRAMID_CELLS, "pyramid cells")
-    cells = np.empty(size, CELL_DTYPE)
+    cells = Pyramid._buffer(size, CELL_DTYPE)
     cells[:n] = row  # generation 0 must not alias caller memory
     scratch = np.empty(n - 1, CELL_DTYPE)
     lo = 0

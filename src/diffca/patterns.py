@@ -30,15 +30,16 @@ class HighlightMask(Triangle):
         return int(np.count_nonzero(self.packed[0]))
 
 
-def _cover(cells: np.ndarray, s: np.ndarray, row_ends: np.ndarray) -> np.ndarray:
-    """Cells covered by an occurrence of ``s``, over rows packed back to back.
+def _cover(cells: np.ndarray, s: np.ndarray, row_ends: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mark in ``out`` the cells covered by an occurrence of ``s``, over rows packed back to back.
 
     Row r of ``cells`` ends just before ``row_ends[r]``; no occurrence crosses a row end.
     """
     if s.size == 1:
-        return cells == s[0]
+        return np.equal(cells, s[0], out=out)
     if s.size > cells.size:
-        return np.zeros(cells.size, dtype=bool)
+        out.fill(False)
+        return out
     m = cells.size - s.size + 1  # possible starts
     starts = cells[:m] == s[0]
     for j in range(1, s.size):
@@ -51,7 +52,7 @@ def _cover(cells: np.ndarray, s: np.ndarray, row_ends: np.ndarray) -> np.ndarray
     delta = np.zeros(cells.size + 1, dtype=np.int32)
     delta[:m] += starts
     delta[s.size :] -= starts
-    return np.cumsum(delta[: cells.size], dtype=np.int32) > 0
+    return np.greater(np.cumsum(delta[: cells.size], dtype=np.int32), 0, out=out)
 
 
 def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
@@ -62,10 +63,11 @@ def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
     length >= 2 can reveal the difference.
     """
     r = as_row(row)
-    return _cover(r, as_row(pattern), np.array([r.size]))
+    return _cover(r, as_row(pattern), np.array([r.size]), np.empty(r.size, dtype=bool))
 
 
 def highlight_pyramid(p: Pyramid, pattern: RowLike) -> HighlightMask:
     """Match every pyramid row; the mask shape mirrors the pyramid."""
     cells, starts = p.packed
-    return HighlightMask._packed(_cover(cells, as_row(pattern), starts[1:]), starts)
+    hits = _cover(cells, as_row(pattern), starts[1:], HighlightMask._buffer(cells.size, np.bool_))
+    return HighlightMask._packed(hits, starts)

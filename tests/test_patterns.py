@@ -119,8 +119,22 @@ def test_single_cell_highlight_peaks_at_the_mask_plus_a_few_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mask.packed[0].nbytes == 2000 * 2001 // 2
-    assert peak < mask.packed[0].nbytes + 8 * row.nbytes
+    hits = mask.packed[0]
+    assert hits.nbytes == 2000 * 2001 // 2
+    # a buffer numpy does not own (mapped straight from the OS) is not traced
+    assert peak < (hits.nbytes if hits.flags.owndata else 0) + 8 * row.nbytes
+
+
+def test_highlight_over_a_mapped_buffer_matches_every_row():
+    p = evolve(np.random.default_rng(8).integers(0, 3, 600, dtype=np.uint64))
+    cells = p.packed[0]
+    assert cells.nbytes > 1 << 20  # big enough for a buffer of its own
+    for k in (1, 2, 3, 5):
+        for start in (0, 598, 1197, cells.size - k):  # the later ones cross a row end
+            pattern = cells[start : start + k].tolist()
+            mask = highlight_pyramid(p, pattern)
+            for row, hits in zip(p, mask):
+                assert np.array_equal(hits, match_row(row, pattern))
 
 
 def test_congruence_notices_mismatched_pyramids():
