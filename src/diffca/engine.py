@@ -153,11 +153,16 @@ class Triangle:
     views into it. ``Triangle(rows)`` packs loose rows with one copy.
     """
 
+    _dtype: type = CELL_DTYPE  # of every cell; a HighlightMask holds bools
+
     def __init__(self, rows: Sequence[np.ndarray]) -> None:
         sizes = np.fromiter(map(np.size, rows), dtype=np.intp)
         if not sizes.size or (sizes != sizes[0] - np.arange(sizes.size)).any():
             raise ValueError(f"a triangle has rows of n, n - 1, ... cells, got {sizes.tolist()}")
-        self._cells, self._starts = _frozen(np.concatenate(rows)), _frozen(np.append(0, np.cumsum(sizes)))
+        cells = np.concatenate(rows)
+        if cells.dtype != self._dtype:
+            raise ValueError(f"{type(self).__name__} rows are {np.dtype(self._dtype)}, got {cells.dtype}")
+        self._cells, self._starts = _frozen(cells), _frozen(np.append(0, np.cumsum(sizes)))
 
     @classmethod
     def _packed(cls, cells: np.ndarray, starts: np.ndarray) -> Triangle:
@@ -166,20 +171,19 @@ class Triangle:
         self._cells, self._starts = _frozen(cells), _frozen(starts)
         return self
 
-    @staticmethod
-    def _buffer(size: int, dtype: type) -> np.ndarray:
-        """An uninitialised array for packed cells; from 1 MiB on, in its own memory map.
+    @classmethod
+    def _buffer(cls, size: int) -> np.ndarray:
+        """An uninitialised cell array; from 1 MiB on, in a memory map of its own.
 
-        Freeing a map returns its pages at once. Buffers of a few MiB from
-        malloc's heap stay resident after they are freed, and the heap grows
-        with every new pyramid size.
+        Freeing a map returns its pages at once, while malloc's heap keeps
+        freed buffers of a few MiB resident and grows with each new size.
         """
-        nbytes = size * np.dtype(dtype).itemsize
+        nbytes = size * np.dtype(cls._dtype).itemsize
         if nbytes < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):  # small, or not Linux
-            return np.empty(size, dtype)
+            return np.empty(size, cls._dtype)
         m = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
         m.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for large arrays: fewer page faults
-        return np.frombuffer(m, dtype, count=size)
+        return np.frombuffer(m, cls._dtype, count=size)
 
     @property
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +251,7 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
         steps = min(steps, max_generations)
     size = (steps + 1) * (2 * n - steps) // 2  # rows of n, n-1, ..., n-steps cells
     TooLarge.check(size, MAX_PYRAMID_CELLS, "pyramid cells")
-    cells = Pyramid._buffer(size, CELL_DTYPE)
+    cells = Pyramid._buffer(size)
     cells[:n] = row  # generation 0 must not alias caller memory
     scratch = np.empty(n - 1, CELL_DTYPE)
     lo = 0

@@ -19,11 +19,7 @@ __all__ = ["HighlightMask", "highlight_pyramid", "match_row"]
 class HighlightMask(Triangle):
     """Boolean lattice congruent to a pyramid: True marks a matched cell."""
 
-    def __init__(self, rows) -> None:
-        super().__init__(rows)
-        cells = self.packed[0]
-        if cells.dtype != np.bool_:
-            raise ValueError(f"mask rows are boolean, got dtype {cells.dtype}")
+    _dtype = np.bool_
 
     def count(self) -> int:
         """Total number of highlighted cells."""
@@ -69,5 +65,5 @@ def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
 def highlight_pyramid(p: Pyramid, pattern: RowLike) -> HighlightMask:
     """Match every pyramid row; the mask shape mirrors the pyramid."""
     cells, starts = p.packed
-    hits = _cover(cells, as_row(pattern), starts[1:], HighlightMask._buffer(cells.size, np.bool_))
+    hits = _cover(cells, as_row(pattern), starts[1:], HighlightMask._buffer(cells.size))
     return HighlightMask._packed(hits, starts)

@@ -193,6 +193,17 @@ def test_pyramid_rows_are_read_only():
         p.rows[0][0] = 9
 
 
+def test_pyramids_pack_loose_uint64_rows_only():
+    p = Pyramid((as_row([3, 1]), as_row([2])))
+    assert p.packed[0].tolist() == [3, 1, 2] and p.packed[1].tolist() == [0, 2, 3]
+    with pytest.raises(ValueError):
+        Pyramid((np.array([3, 1]), np.array([2])))  # int64
+    with pytest.raises(ValueError):
+        Pyramid((as_row([3, 1]), np.array([2])))  # would pack as float64
+    with pytest.raises(ValueError):
+        Pyramid((as_row([3, 1]), as_row([2, 2])))
+
+
 def test_impulse_pyramid_is_binomial_parity_everywhere():
     # an isolated 1 spreads as Pascal's triangle mod 2: row t cell i
     # reads C(t, j0-i) mod 2, with zeros outside the cone
