@@ -11,6 +11,7 @@ give identical outputs, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import operator
 from dataclasses import dataclass
@@ -182,7 +183,8 @@ class Triangle:
         if nbytes < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):  # small, or not Linux
             return np.empty(size, cls._dtype)
         m = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        m.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for large arrays: fewer page faults
+        with contextlib.suppress(OSError):  # a kernel without huge pages refuses the advice
+            m.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for large arrays: fewer page faults
         return np.frombuffer(m, cls._dtype, count=size)
 
     @property
