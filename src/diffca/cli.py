@@ -86,9 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selfcheck = commands.add_parser("selfcheck", help="re-derive built-in reference results")
     selfcheck.set_defaults(handler=_cmd_selfcheck)
-
-    fixtures = commands.add_parser("fixtures", help="list built-in inputs")
-    fixtures.set_defaults(handler=_cmd_fixtures)
+    commands.add_parser("fixtures", help="list built-in inputs").set_defaults(handler=_cmd_fixtures)
     return parser
 
 
@@ -106,8 +104,7 @@ def _render_spec(args: argparse.Namespace) -> RenderSpec:
 
 def _emit(artifact: str | bytes, out: str | None) -> None:
     if out is not None:
-        data = artifact if isinstance(artifact, bytes) else (artifact + "\n").encode("utf-8")
-        Path(out).write_bytes(data)
+        Path(out).write_bytes(artifact if isinstance(artifact, bytes) else (artifact + "\n").encode("utf-8"))
     elif isinstance(artifact, bytes):
         sys.stdout.buffer.write(artifact)
         sys.stdout.buffer.flush()
@@ -134,9 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.symmetric:
         expr = make_symmetric(expr)
     pyramid = evolve(expr, max_generations=args.max_generations)
-    mask = None
-    if args.pattern:
-        mask = highlight_pyramid(pyramid, parse_expression(args.pattern))
+    mask = highlight_pyramid(pyramid, parse_expression(args.pattern)) if args.pattern else None
     _emit(render_pyramid(pyramid, mask, _render_spec(args)), args.out)
     return 0
 
@@ -145,7 +140,6 @@ def _cmd_eca(args: argparse.Namespace) -> int:
     rule = rule_table(args.rule)
     if args.generations < 0:
         raise ValueError("generations is non-negative")
-    expr = None
     if args.initial is not None:
         if args.width is not None:
             return _usage_error("--initial already fixes the width; drop --width")
@@ -155,7 +149,7 @@ def _cmd_eca(args: argparse.Namespace) -> int:
         width = args.width if args.width is not None else 2 * args.generations + 1
     # checked before the row exists: the default impulse row alone is 2T+1 cells
     TooLarge.check((args.generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
-    initial = impulse_row(width) if expr is None else expr.row()
+    initial = impulse_row(width) if args.initial is None else expr.row()
     diagram = eca_evolve(initial, rule, args.generations, boundary=args.boundary)
     _emit(render_eca(diagram, _render_spec(args)), args.out)
     return 0
@@ -164,9 +158,7 @@ def _cmd_eca(args: argparse.Namespace) -> int:
 def _is_impulse(expr: InputExpression) -> int | None:
     """Index of the single nonzero cell, when there is exactly one and it is 1."""
     hot = [i for i, v in enumerate(expr.terms) if v]
-    if len(hot) == 1 and expr.terms[hot[0]] == 1:
-        return hot[0]
-    return None
+    return hot[0] if len(hot) == 1 and expr.terms[hot[0]] == 1 else None
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -174,23 +166,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rule = rule_table(args.rule)
     pyramid = evolve(expr)
     mask = highlight_pyramid(pyramid, parse_expression(args.pattern))
-    width = len(expr)
-    if all(v <= 1 for v in expr.terms):
-        initial = expr.row()
-    else:
-        initial = impulse_row(width)
-    diagram = eca_evolve(initial, rule, width - 1, boundary=args.boundary)
-    artifact = render_compare(
-        diagram,
-        pyramid,
-        mask,
-        _render_spec(args),
-        diagram_label=f"rule {rule.number}, {args.boundary} boundary",
-        pyramid_label=f"difference pyramid: {args.fixture}, pattern {args.pattern}",
-    )
-    _emit(artifact, args.out)
-    j0 = _is_impulse(expr)
-    if j0 is not None:
+    initial = expr.row() if all(v <= 1 for v in expr.terms) else impulse_row(len(expr))
+    diagram = eca_evolve(initial, rule, len(expr) - 1, boundary=args.boundary)
+    diagram_label = f"rule {rule.number}, {args.boundary} boundary"
+    pyramid_label = f"difference pyramid: {args.fixture}, pattern {args.pattern}"
+    _emit(render_compare(diagram, pyramid, mask, _render_spec(args), diagram_label, pyramid_label), args.out)
+    if (j0 := _is_impulse(expr)) is not None:
         direct, complement = impulse_agreement(mask, j0)
         print(f"in-cone agreement vs binomial parity: {direct:.6f}")
         print(f"in-cone complement agreement: {complement:.6f}")
@@ -198,35 +179,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'ok  ' if ok else 'FAIL'} {name}")
-        failures += 0 if ok else 1
-
-    reference = [list(row) for row in DEFAULT_EVOLUTION]
-    check("default-p evolution matches the stored reference triangle",
-          evolve(load_fixture("default-p")).to_lists() == reference)
-
-    p1 = load_fixture("p1")
-    check("make_symmetric(p1) reproduces p1-new",
-          make_symmetric(p1).terms == load_fixture("p1-new").terms)
-
     a1 = load_fixture("a1")
-    j0 = _is_impulse(a1)
-    pyramid = evolve(a1)
+    j0, pyramid = _is_impulse(a1), evolve(a1)
     ones = highlight_pyramid(pyramid, parse_expression("1-"))
     zeros = highlight_pyramid(pyramid, parse_expression("0-"))
-    direct, _ = impulse_agreement(ones, j0)
-    _, complement = impulse_agreement(zeros, j0)
-    check("a1 ones-mask equals binomial parity in the cone", direct == 1.0)
-    check("a1 zeros-mask equals its in-cone complement", complement == 1.0)
-
-    check("fixture expressions survive a parse round trip",
-          all(parse_expression(serialize_expression(load_fixture(f))).terms
-              == load_fixture(f).terms for f in FIXTURE_IDS))
-
+    checks = {
+        "default-p evolution matches the stored reference triangle":
+            evolve(load_fixture("default-p")).to_lists() == [list(row) for row in DEFAULT_EVOLUTION],
+        "make_symmetric(p1) reproduces p1-new":
+            make_symmetric(load_fixture("p1")).terms == load_fixture("p1-new").terms,
+        "a1 ones-mask equals binomial parity in the cone": impulse_agreement(ones, j0)[0] == 1.0,
+        "a1 zeros-mask equals its in-cone complement": impulse_agreement(zeros, j0)[1] == 1.0,
+        "fixture expressions survive a parse round trip":
+            all(parse_expression(serialize_expression(load_fixture(f))).terms
+                == load_fixture(f).terms for f in FIXTURE_IDS),
+    }
+    for name, ok in checks.items():
+        print(f"{'ok  ' if ok else 'FAIL'} {name}")
+    failures = sum(not ok for ok in checks.values())
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1
 
@@ -251,15 +221,12 @@ _COMPONENTS: tuple[tuple[type[Exception], str], ...] = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except tuple(exc for exc, _ in _COMPONENTS) as err:
-        for exc_type, component in _COMPONENTS:
-            if isinstance(err, exc_type):
-                print(f"error: {component}: {err}", file=sys.stderr)
-                break
+        component = next(name for exc, name in _COMPONENTS if isinstance(err, exc))
+        print(f"error: {component}: {err}", file=sys.stderr)
         return 1
 
 

@@ -71,13 +71,7 @@ class InputExpression:
 
     def __post_init__(self) -> None:
         terms = tuple(int(v) for v in self.terms)
-        if not terms:
-            raise ValueError("an input expression needs at least one term")
-        for v in terms:
-            if v < 0:
-                raise ValueError(f"cell values are naturals, got {v}")
-            if v > MAX_CELL:
-                raise ValueError(f"cell value {v} exceeds the 64-bit bound")
+        as_row(terms)  # raises unless the terms are a nonempty row of 64-bit naturals
         object.__setattr__(self, "terms", terms)
 
     def row(self) -> np.ndarray:
@@ -123,11 +117,6 @@ def as_row(values: RowLike) -> np.ndarray:
     return arr.astype(CELL_DTYPE)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     # unsigned-safe |a - b| = max - min, written into out; plain subtraction would wrap
     np.maximum(a, b, out=out)
@@ -160,16 +149,15 @@ class Triangle:
         sizes = np.fromiter(map(np.size, rows), dtype=np.intp)
         if not sizes.size or (sizes != sizes[0] - np.arange(sizes.size)).any():
             raise ValueError(f"a triangle has rows of n, n - 1, ... cells, got {sizes.tolist()}")
-        cells = np.concatenate(rows)
+        self._hold(np.concatenate(rows), np.append(0, np.cumsum(sizes)))
+
+    def _hold(self, cells: np.ndarray, starts: np.ndarray) -> Triangle:
+        """Keep ``cells`` read-only and without a copy; row t is ``cells[starts[t]:starts[t + 1]]``."""
         if cells.dtype != self._dtype:
             raise ValueError(f"{type(self).__name__} rows are {np.dtype(self._dtype)}, got {cells.dtype}")
-        self._cells, self._starts = _frozen(cells), _frozen(np.append(0, np.cumsum(sizes)))
-
-    @classmethod
-    def _packed(cls, cells: np.ndarray, starts: np.ndarray) -> Triangle:
-        """Wrap packed cells without a copy; row t is ``cells[starts[t]:starts[t + 1]]``."""
-        self = cls.__new__(cls)
-        self._cells, self._starts = _frozen(cells), _frozen(starts)
+        cells.setflags(write=False)
+        starts.setflags(write=False)
+        self._cells, self._starts = cells, starts
         return self
 
     @classmethod
@@ -178,6 +166,8 @@ class Triangle:
 
         Freeing a map returns its pages at once, while malloc's heap keeps
         freed buffers of a few MiB resident and grows with each new size.
+        Smaller buffers stay on the heap: a map takes whole pages and one of
+        the few tens of thousands of maps a process may hold.
         """
         nbytes = size * np.dtype(cls._dtype).itemsize
         if nbytes < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):  # small, or not Linux
@@ -262,7 +252,7 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
         _abs_diff(a, b, out, scratch[: w - 1])
         lo += w
     t = np.arange(steps + 2)
-    return Pyramid._packed(cells, t * (2 * n + 1 - t) // 2)
+    return Pyramid.__new__(Pyramid)._hold(cells, t * (2 * n + 1 - t) // 2)
 
 
 def make_symmetric(p: RowLike) -> InputExpression:

@@ -61,12 +61,9 @@ def parse_expression(text: str) -> InputExpression:
     """
     if not isinstance(text, str):
         raise TypeError(f"expression text is a str, got {type(text).__name__}")
-    s = text
-    while True:
-        trimmed = s.strip().strip(_BRACKETS)
-        if trimmed == s:
-            break
-        s = trimmed
+    s, last = text, None
+    while s != last:  # peel whitespace and brackets until neither is left outside
+        last, s = s, s.strip().strip(_BRACKETS)
     if not s:
         raise EmptyExpression(f"no terms in {text!r}")
     for pos, ch in enumerate(s):
@@ -75,15 +72,12 @@ def parse_expression(text: str) -> InputExpression:
     parts = s.split("-")
     if parts[-1] == "":
         parts.pop()  # one trailing separator is tolerated
-    terms = []
-    for part in parts:
-        if part == "":
-            raise EmptyTerm(f"empty term in {s!r} (leading or doubled '-')")
-        value = int(part)
-        if value > MAX_CELL:
-            raise ValueOverflow(f"term {part} exceeds the cell bound {MAX_CELL}")
-        terms.append(value)
-    return InputExpression(tuple(terms), text)
+    if "" in parts:
+        raise EmptyTerm(f"empty term in {s!r} (leading or doubled '-')")
+    terms = tuple(map(int, parts))
+    if max(terms) > MAX_CELL:
+        raise ValueOverflow(f"term {max(terms)} exceeds the cell bound {MAX_CELL}")
+    return InputExpression(terms, text)
 
 
 def serialize_expression(p: RowLike) -> str:

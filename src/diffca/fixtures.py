@@ -90,6 +90,5 @@ def load_fixture(name: str) -> InputExpression:
     try:
         source = _SOURCES[name]
     except KeyError:
-        known = ", ".join(FIXTURE_IDS)
-        raise UnknownFixture(f"unknown fixture {name!r} (known: {known})") from None
+        raise UnknownFixture(f"unknown fixture {name!r} (known: {', '.join(FIXTURE_IDS)})") from None
     return parse_expression(source)

@@ -26,29 +26,28 @@ class HighlightMask(Triangle):
         return int(np.count_nonzero(self.packed[0]))
 
 
-def _cover(cells: np.ndarray, s: np.ndarray, row_ends: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _cover(cells: np.ndarray, s: np.ndarray, starts: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Mark in ``out`` the cells covered by an occurrence of ``s``, over rows packed back to back.
 
-    Row r of ``cells`` ends just before ``row_ends[r]``; no occurrence crosses a row end.
+    Row r is ``cells[starts[r]:starts[r + 1]]``, one cell shorter than row r - 1. No occurrence
+    crosses a row end, so only the leading rows of ``s.size`` cells or more can hold one.
     """
-    if s.size == 1:
+    k = s.size
+    if k == 1:
         return np.equal(cells, s[0], out=out)
-    if s.size > cells.size:
+    rows = min(starts.size - 1, int(starts[1]) - k + 1)
+    if rows < 1:
         out.fill(False)
         return out
-    m = cells.size - s.size + 1  # possible starts
-    starts = cells[:m] == s[0]
-    for j in range(1, s.size):
-        starts &= cells[j : m + j] == s[j]
-    # an occurrence starting within s.size - 1 cells of a row end crosses it
-    crossing = (row_ends[:, None] - np.arange(1, s.size)).ravel()
-    starts[crossing[(crossing >= 0) & (crossing < m)]] = False
-    # +1 where an occurrence starts, -1 just past its end: the running sum
-    # counts the occurrences covering each cell
-    delta = np.zeros(cells.size + 1, dtype=np.int32)
-    delta[:m] += starts
-    delta[s.size :] -= starts
-    return np.greater(np.cumsum(delta[: cells.size], dtype=np.int32), 0, out=out)
+    m = int(starts[rows]) - k + 1  # possible starts, all in those rows
+    hits = cells[:m] == s[0]
+    for j in range(1, k):
+        hits &= np.equal(cells[j : m + j], s[j], out=out[:m])
+        hits[starts[1:rows] - j] = False  # a start within k - 1 cells of a row end crosses it
+    out.fill(False)
+    for j in range(k):
+        out[j : m + j] |= hits  # each occurrence covers its k cells
+    return out
 
 
 def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
@@ -59,11 +58,11 @@ def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
     length >= 2 can reveal the difference.
     """
     r = as_row(row)
-    return _cover(r, as_row(pattern), np.array([r.size]), np.empty(r.size, dtype=bool))
+    return _cover(r, as_row(pattern), np.array([0, r.size]), np.empty(r.size, dtype=bool))
 
 
 def highlight_pyramid(p: Pyramid, pattern: RowLike) -> HighlightMask:
     """Match every pyramid row; the mask shape mirrors the pyramid."""
     cells, starts = p.packed
-    hits = _cover(cells, as_row(pattern), starts[1:], HighlightMask._buffer(cells.size))
-    return HighlightMask._packed(hits, starts)
+    hits = _cover(cells, as_row(pattern), starts, HighlightMask._buffer(cells.size))
+    return HighlightMask.__new__(HighlightMask)._hold(hits, starts)

@@ -75,12 +75,9 @@ class RenderSpec:
     highlight_color: str = "#1a1a1a"
 
     def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise ValueError(f"format is one of {FORMATS}, got {self.format!r}")
-        if self.alignment not in ALIGNMENTS:
-            raise ValueError(f"alignment is one of {ALIGNMENTS}, got {self.alignment!r}")
-        if self.palette not in PALETTES:
-            raise ValueError(f"palette is one of {PALETTES}, got {self.palette!r}")
+        for name, allowed in (("format", FORMATS), ("alignment", ALIGNMENTS), ("palette", PALETTES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} is one of {allowed}, got {getattr(self, name)!r}")
         if self.cell_px < 1:
             raise ValueError("cell_px is at least 1")
         if not re.fullmatch(r"#[0-9a-fA-F]{6}", self.highlight_color):
@@ -89,9 +86,7 @@ class RenderSpec:
 
 def _check_congruent(p: Pyramid, mask: HighlightMask | None) -> None:
     if mask is not None and not mask.congruent_with(p):
-        raise ShapeMismatch(
-            f"mask {mask.height}x{mask.base_width} vs pyramid {p.height}x{p.base_width}"
-        )
+        raise ShapeMismatch(f"mask {mask.height}x{mask.base_width} vs pyramid {p.height}x{p.base_width}")
 
 
 # ---------------------------------------------------------------- ascii
@@ -361,13 +356,8 @@ def render_compare(
     spec = spec or RenderSpec()
     _check_congruent(p, mask)
     if spec.format == "ascii":
-        panel_spec = replace(spec, palette="mask")
-        return (
-            f"== {diagram_label} ==\n"
-            + render_eca(d, replace(spec, format="ascii"))
-            + f"\n\n== {pyramid_label} ==\n"
-            + render_ascii(p, mask, panel_spec)
-        )
+        diagram, pyramid = render_eca(d, spec), render_ascii(p, mask, replace(spec, palette="mask"))
+        return f"== {diagram_label} ==\n{diagram}\n\n== {pyramid_label} ==\n{pyramid}"
     if spec.format == "pgm":
         raise ValueError("compare artifacts support ascii, pbm or svg")
     shade = spec.format == "svg" and spec.palette == "grayscale"

@@ -125,6 +125,42 @@ def test_single_cell_highlight_peaks_at_the_mask_plus_a_few_rows():
     assert peak < (hits.nbytes if hits.flags.owndata else 0) + 8 * row.nbytes
 
 
+def test_multi_cell_highlight_peaks_at_the_mask_plus_its_start_flags():
+    row = np.random.default_rng(7).integers(0, 3, 2000, dtype=np.uint64)
+    p = evolve(row)
+    for pattern in ([1, 2], [0, 1, 2]):
+        tracemalloc.start()
+        try:
+            mask = highlight_pyramid(p, pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        hits = mask.packed[0]
+        assert mask.count() > 0
+        # one bool start flag per cell besides the mask; no integer cover arrays
+        assert peak < (hits.nbytes if hits.flags.owndata else 0) + hits.nbytes + 8 * row.nbytes
+
+
+def test_patterns_longer_than_a_row_skip_the_rows_that_cannot_hold_them():
+    p = evolve(np.random.default_rng(9).integers(0, 2, 300, dtype=np.uint64))
+    cells = p.packed[0]
+    longer = np.zeros(40_000, dtype=np.uint64)  # longer than the base width, shorter than the buffer
+    tracemalloc.start()
+    try:
+        mask = highlight_pyramid(p, longer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.count() == 0
+    assert peak < mask.packed[0].nbytes + 8 * 300 * 8
+    half = cells[301:451].tolist()  # 150 cells of row 1, from its second: rows 0-150 can hold it
+    mask = highlight_pyramid(p, half)
+    assert mask.count() >= 150
+    for row, hits in zip(p, mask):
+        assert np.array_equal(hits, match_row(row, half))
+        assert row.size >= 150 or not hits.any()
+
+
 def test_highlight_over_a_mapped_buffer_matches_every_row():
     p = evolve(np.random.default_rng(8).integers(0, 3, 600, dtype=np.uint64))
     cells = p.packed[0]
