@@ -140,6 +140,7 @@ def _cmd_eca(args: argparse.Namespace) -> int:
     rule = rule_table(args.rule)
     if args.generations < 0:
         raise ValueError("generations is non-negative")
+    expr = None
     if args.initial is not None:
         if args.width is not None:
             return _usage_error("--initial already fixes the width; drop --width")
@@ -149,7 +150,7 @@ def _cmd_eca(args: argparse.Namespace) -> int:
         width = args.width if args.width is not None else 2 * args.generations + 1
     # checked before the row exists: the default impulse row alone is 2T+1 cells
     TooLarge.check((args.generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
-    initial = impulse_row(width) if args.initial is None else expr.row()
+    initial = impulse_row(width) if expr is None else expr.row()
     diagram = eca_evolve(initial, rule, args.generations, boundary=args.boundary)
     _emit(render_eca(diagram, _render_spec(args)), args.out)
     return 0
