@@ -104,7 +104,8 @@ def _render_spec(args: argparse.Namespace) -> RenderSpec:
 
 def _emit(artifact: str | bytes, out: str | None) -> None:
     if out is not None:
-        Path(out).write_bytes(artifact if isinstance(artifact, bytes) else (artifact + "\n").encode("utf-8"))
+        with open(out, "wb") as f:  # text and its newline written apart: no second copy of the text
+            f.writelines([artifact] if isinstance(artifact, bytes) else [artifact.encode("utf-8"), b"\n"])
     elif isinstance(artifact, bytes):
         sys.stdout.buffer.write(artifact)
         sys.stdout.buffer.flush()

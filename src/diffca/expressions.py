@@ -69,15 +69,15 @@ def parse_expression(text: str) -> InputExpression:
     for pos, ch in enumerate(s):
         if ch not in _TERM_CHARS:
             raise InvalidCharacter(f"{ch!r} at position {pos} in {s!r}")
-    parts = s.split("-")
-    if parts[-1] == "":
-        parts.pop()  # one trailing separator is tolerated
+    parts = s.removesuffix("-").split("-")  # one trailing separator is tolerated
     if "" in parts:
         raise EmptyTerm(f"empty term in {s!r} (leading or doubled '-')")
-    terms = tuple(map(int, parts))
-    if max(terms) > MAX_CELL:
-        raise ValueOverflow(f"term {max(terms)} exceeds the cell bound {MAX_CELL}")
-    return InputExpression(terms, text)
+    parts = [part.lstrip("0") or "0" for part in parts]  # int() refuses terms over 4300 digits
+    big = max(parts, key=lambda part: (len(part), part))  # the largest term, compared as text
+    if len(big) > len(str(MAX_CELL)) or int(big) > MAX_CELL:
+        shown = big if len(big) <= 40 else big[:20] + "..."
+        raise ValueOverflow(f"term {shown} exceeds the cell bound {MAX_CELL}")
+    return InputExpression(tuple(map(int, parts)), text)
 
 
 def serialize_expression(p: RowLike) -> str:

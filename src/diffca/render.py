@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from itertools import pairwise
+from typing import Iterator
 
 import numpy as np
 
@@ -126,56 +127,56 @@ def render_ascii(
 
 # -------------------------------------------------------------- layout
 
-# (cell rows, paint rows): one paint row per cell row, made one at a time
-Panel = tuple[Sequence[np.ndarray], Iterable[np.ndarray]]
+# A panel is packed like a Triangle, (cells, starts, ink, shade): row t is
+# cells[starts[t]:starts[t + 1]], ink is a bool per cell or None.
+Panel = tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]
 
 
-def _row_grays(row: np.ndarray) -> np.ndarray:
-    """Per-row shading ``255 * (m - v) // m``: the row maximum m is black, zero white.
+def _diagram_panel(d: EcaDiagram) -> Panel:
+    cells = d.rows.ravel()
+    return cells, np.arange(len(d) + 1) * d.width, cells.view(bool), False
 
-    Exact over the whole uint64 range: where ``255 * m`` would overflow 64
-    bits, the arithmetic runs on Python integers.
+
+def _paints(panel: Panel, ink: int) -> np.ndarray:
+    """One int16 paint per cell: ``ink`` where inked, else blank or, shaded, its row's gray.
+
+    A row shades as ``255 * (m - v) // m``, black at its maximum m, exact over
+    all of uint64: where ``255 * m`` would overflow, it runs on Python integers.
     """
-    m = int(row.max())
-    if m == 0:
-        return np.full(row.size, BLANK, dtype=np.int16)
-    d = m - row.astype(object if m > MAX_CELL // 255 else CELL_DTYPE)
-    return (255 * d // m).astype(np.int16)
+    cells, starts, inked, shade = panel
+    paints = np.full(cells.size, BLANK, dtype=np.int16)
+    if shade:  # row by row: a panel-wide uint64 or object temporary would be 8+ bytes a cell
+        for a, b in pairwise(starts.tolist()):
+            row = cells[a:b]
+            if m := int(row.max()):
+                paints[a:b] = 255 * (m - row.astype(object if m > MAX_CELL // 255 else CELL_DTYPE)) // m
+    if inked is not None:
+        paints[inked] = ink
+    return paints
 
 
-def _panel(rows: Sequence[np.ndarray], ink: Sequence[np.ndarray] | None, shade: bool) -> Panel:
-    """Paint each cell row: ink where the boolean ``ink`` row is set, else gray or blank."""
-
-    def paints() -> Iterator[np.ndarray]:
-        for t, row in enumerate(rows):
-            out = _row_grays(row) if shade else np.full(row.size, BLANK, dtype=np.int16)
-            if ink is not None:
-                out[ink[t]] = INK
-            yield out
-
-    return rows, paints()
-
-
-def _layout(panels: list[Panel], spec: RenderSpec):
+def _layout(panels: list[Panel], spec: RenderSpec, ink: int):
     """Stack the panels one blank cell row apart, each centered on the widest.
 
     Returns the canvas width and height in pixels and an iterator over the
     placed rows ``(y, xp, xr, paints)``: ``y`` is the top pixel row, ``xp``
     the panel's offset in the canvas and ``xr`` the row's offset in its
     panel, both in half pixels. Rasters floor the two offsets one by one;
-    SVG writes their sum exactly.
+    SVG writes their sum exactly. A panel's paints are made when the
+    iterator reaches it, after the callers' size checks.
     """
     cp = spec.cell_px
-    w = max(len(rows[0]) for rows, _ in panels) * cp
-    h = (sum(len(rows) for rows, _ in panels) + len(panels) - 1) * cp
+    w = max(int(starts[1]) for _, starts, _, _ in panels) * cp
+    h = (sum(starts.size for _, starts, _, _ in panels) - 1) * cp
 
     def placed() -> Iterator[tuple[int, int, int, np.ndarray]]:
         y = 0
-        for rows, panel_paints in panels:
-            pw = len(rows[0]) * cp
-            for paints in panel_paints:
-                xr = pw - paints.size * cp if spec.alignment == "centered" else 0
-                yield y, w - pw, xr, paints
+        for panel in panels:
+            paints, s = _paints(panel, ink), panel[1].tolist()
+            pw = s[1] * cp
+            for a, b in pairwise(s):
+                xr = pw - (b - a) * cp if spec.alignment == "centered" else 0
+                yield y, w - pw, xr, paints[a:b]
                 y += cp
             y += cp
 
@@ -188,13 +189,12 @@ def _layout(panels: list[Panel], spec: RenderSpec):
 def _raster(panels: list[Panel], spec: RenderSpec) -> np.ndarray:
     """The layout as a uint8 graymap: ink is black, unpainted pixels white."""
     cp = spec.cell_px
-    w, h, rows = _layout(panels, spec)
+    w, h, rows = _layout(panels, spec, ink=0)
     TooLarge.check(w * h, MAX_CANVAS_PIXELS, f"pixels of a {w}x{h} canvas")
     canvas = np.full((h, w), BLANK, dtype=np.uint8)
-    for y, xp, xr, paints in rows:
+    for y, xp, xr, grays in rows:
         x = xp // 2 + xr // 2
-        grays = np.where(paints == INK, 0, paints)
-        canvas[y : y + cp, x : x + paints.size * cp] = grays if cp == 1 else np.repeat(grays, cp)
+        canvas[y : y + cp, x : x + grays.size * cp] = grays if cp == 1 else np.repeat(grays, cp)
     return canvas
 
 
@@ -239,13 +239,12 @@ def _pgm(panels: list[Panel], spec: RenderSpec) -> bytes:
 def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     """SVG 1.1 document with one square per cell, row-major, exact coordinates."""
     cp = spec.cell_px
-    w, h, rows = _layout(panels, spec)
+    w, h, rows = _layout(panels, spec, ink=INK)
     edge = f' stroke="{GRID_COLOR}" stroke-width="1"' if cp >= 6 else ""
     # no rect is longer than one at the canvas corner (every fill is #rrggbb);
     # the budget is the largest plain PGM the raster budget allows, "255 " a pixel
     rect = f'<rect x="{w}.5" y="{h}" width="{cp}" height="{cp}" fill="#rrggbb"{edge}/>\n'
-    cells = sum(len(row) for cell_rows, _ in panels for row in cell_rows)
-    TooLarge.check(cells * len(rect), 4 * MAX_CANVAS_PIXELS, "SVG bytes")
+    TooLarge.check(sum(c.size for c, *_ in panels) * len(rect), 4 * MAX_CANVAS_PIXELS, "SVG bytes")
     fills = {g: f"#{g:02x}{g:02x}{g:02x}" for g in range(256)}
     fills[INK] = spec.highlight_color
     parts = [
@@ -256,11 +255,11 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     for y, xp, xr, paints in rows:
         x0, half = divmod(xp + xr, 2)
         frac = ".5" if half else ""
-        parts.extend(
+        parts.append("\n".join(  # one string per row, not per rect: half the peak memory
             f'<rect x="{x0 + i * cp}{frac}" y="{y}" width="{cp}" height="{cp}" '
             f'fill="{fills[paint]}"{edge}/>'
             for i, paint in enumerate(paints.tolist())
-        )
+        ))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -274,12 +273,12 @@ def render_pbm(mask: HighlightMask, spec: RenderSpec | None = None) -> bytes:
     Each cell becomes a ``cell_px`` square; row t occupies the t-th band,
     centered (or flush left). Output is bit-exact for identical inputs.
     """
-    return _pbm([_panel(mask, mask, shade=False)], spec or RenderSpec())
+    return _pbm([(*mask.packed, mask.packed[0], False)], spec or RenderSpec())
 
 
 def render_pgm(p: Pyramid, spec: RenderSpec | None = None) -> bytes:
     """Plain portable graymap of an unmasked pyramid, shaded by value."""
-    return _pgm([_panel(p, None, shade=True)], spec or RenderSpec())
+    return _pgm([(*p.packed, None, True)], spec or RenderSpec())
 
 
 def render_svg(
@@ -297,7 +296,7 @@ def render_svg(
     spec = spec or RenderSpec()
     _check_congruent(p, mask)
     shade = spec.palette == "grayscale" or (mask is None and spec.palette == "values")
-    return _svg([_panel(p, mask, shade)], spec)
+    return _svg([(*p.packed, None if mask is None else mask.packed[0], shade)], spec)
 
 
 # ----------------------------------------------------------------- eca
@@ -312,7 +311,7 @@ def render_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> str | bytes:
     if spec.format == "ascii":
         ink, blank = FILLED_GLYPH.encode(), EMPTY_GLYPH.encode()
         return "\n".join(np.where(row != 0, ink, blank).tobytes().decode() for row in d.rows)
-    return _SERIALIZERS[spec.format]([_panel(d.rows, d.rows.view(bool), shade=False)], spec)
+    return _SERIALIZERS[spec.format]([_diagram_panel(d)], spec)
 
 
 # ----------------------------------------------------------- dispatch
@@ -361,5 +360,4 @@ def render_compare(
     if spec.format == "pgm":
         raise ValueError("compare artifacts support ascii, pbm or svg")
     shade = spec.format == "svg" and spec.palette == "grayscale"
-    diagram = _panel(d.rows, d.rows.view(bool), shade=False)
-    return _SERIALIZERS[spec.format]([diagram, _panel(p, mask, shade)], spec)
+    return _SERIALIZERS[spec.format]([_diagram_panel(d), (*p.packed, mask.packed[0], shade)], spec)

@@ -1,5 +1,7 @@
 """Command-line behavior: happy paths, exit codes, artifact stability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,19 @@ def test_run_artifacts_are_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_run_writes_a_text_figure_without_copying_it(tmp_path):
+    out = tmp_path / "p.svg"
+    row = "-".join(str((i * 7) % 10) for i in range(300))
+    tracemalloc.start()
+    try:
+        assert run_cli("run", "--input", row, "--format", "svg", "--out", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the document, its encoding and the render's own working set; not a second copy
+    assert peak < 2.5 * out.stat().st_size
+
+
 def test_run_shades_the_full_cell_range_as_pgm(capsys):
     assert run_cli("run", "--input", "18446744073709551615-0", "--format", "pgm") == 0
     assert capsys.readouterr().out == "P2\n2 2\n255\n0 255\n0 255\n"
@@ -82,6 +97,8 @@ def test_run_rejects_parse_errors_with_exit_1(capsys):
     assert run_cli("run", "--input", "2-x") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: expression:")
+    assert run_cli("run", "--input", "9" * 5000) == 1  # past int()'s 4300-digit limit
+    assert capsys.readouterr().err.startswith("error: expression:")
     assert run_cli("run", "--fixture", "nope") == 1
     assert "error: fixture:" in capsys.readouterr().err
 

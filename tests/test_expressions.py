@@ -30,6 +30,8 @@ from diffca.expressions import (
         ("(2-0-1)", (2, 0, 1)),
         ("  ( [2-0] )  ", (2, 0)),
         ("\n1-2\t", (1, 2)),
+        # leading zeros do not count toward int()'s 4300-digit limit
+        pytest.param("0" * 5000 + "7", (7,), id="5000-zeros-then-7"),
     ],
 )
 def test_parse_accepts_dash_rows(text, terms):
@@ -56,6 +58,7 @@ def test_parse_accepts_dash_rows(text, terms):
         ("1-[2]", InvalidCharacter),  # brackets only surround the whole row
         (str(MAX_CELL + 1), ValueOverflow),
         ("1-" + str(2**80), ValueOverflow),
+        pytest.param("9" * 5000, ValueOverflow, id="5000-nines"),  # past int()'s digit limit
     ],
 )
 def test_parse_rejects_malformed_input(text, error):

@@ -178,15 +178,17 @@ def _pbm_by_row(panels, cp):
 @pytest.mark.parametrize("cp", [1, 3])
 @pytest.mark.parametrize("n", [1, 69, 70, 71, 140, 141])
 def test_pbm_lines_wrap_like_a_per_row_reference(n, cp):
-    # canvas widths on, just under and just over multiples of the 70-digit line
-    p = evolve([(i * i + i // 3) % 3 for i in range(n)])
-    mask = highlight_pyramid(p, [1])
+    # canvas widths on, just under and just over multiples of the 70-digit line;
+    # a capped pyramid's rows end short of one cell, beside a full-height diagram
     d = eca_evolve(impulse_row(n), 90, n - 1)
     spec = RenderSpec(format="pbm", cell_px=cp)
-    mask_rows = [row.tolist() for row in mask]
-    assert render_pbm(mask, spec) == _pbm_by_row([mask_rows], cp)
-    expected = _pbm_by_row([[row.tolist() for row in d.rows], mask_rows], cp)
-    assert render_compare(d, p, mask, spec) == expected
+    for cap in (None, 4):
+        p = evolve([(i * i + i // 3) % 3 for i in range(n)], max_generations=cap)
+        mask = highlight_pyramid(p, [1])
+        mask_rows = [row.tolist() for row in mask]
+        assert render_pbm(mask, spec) == _pbm_by_row([mask_rows], cp)
+        expected = _pbm_by_row([[row.tolist() for row in d.rows], mask_rows], cp)
+        assert render_compare(d, p, mask, spec) == expected
 
 
 # --------------------------------------------------------------- pgm
@@ -202,25 +204,26 @@ def test_pgm_renders_all_zero_rows_white():
     assert data.splitlines()[-1] == b"255 255"
 
 
-def _python_grays(values: list[int]) -> list[list[int]]:
-    """Each pyramid row shaded as 255 * (m - v) // m, in Python integers."""
+def _python_grays(values: list[int], rows: int) -> list[list[int]]:
+    """The first ``rows`` pyramid rows shaded as 255 * (m - v) // m, in Python integers."""
     out = []
-    while values:
+    while values and len(out) < rows:
         m = max(values)
         out.append([255 * (m - v) // m if m else 255 for v in values])
         values = [abs(a - b) for a, b in zip(values, values[1:])]
     return out
 
 
-@given(st.lists(st.integers(0, MAX_CELL), min_size=1, max_size=12))
-@example([10**17, 0, 5 * 10**16])
-@example([MAX_CELL, 0])
+@given(st.lists(st.integers(0, MAX_CELL), min_size=1, max_size=12), st.none() | st.integers(0, 12))
+@example([10**17, 0, 5 * 10**16], None)
+@example([MAX_CELL, 0], None)
+@example([MAX_CELL, 0, 3, MAX_CELL // 255 + 1], 1)
 @settings(max_examples=200, deadline=None)
-def test_gray_shading_is_exact_over_the_full_cell_range(values):
-    expected = _python_grays(values)
-    p = evolve(values)
+def test_gray_shading_is_exact_over_the_full_cell_range(values, cap):
+    p = evolve(values, max_generations=cap)
+    expected = _python_grays(values, len(p))
     fields = render_pgm(p, RenderSpec(format="pgm", alignment="left")).split()
-    pixels = np.array([int(v) for v in fields[4:]]).reshape(len(values), len(values))
+    pixels = np.array([int(v) for v in fields[4:]]).reshape(len(p), len(values))
     assert [pixels[t, : len(row)].tolist() for t, row in enumerate(expected)] == expected
     doc = render_svg(p, spec=RenderSpec(format="svg", palette="grayscale"))
     fills = [int(g, 16) for g in re.findall(r'fill="#([0-9a-f]{2})', doc)]
@@ -275,6 +278,18 @@ def test_svg_refuses_a_document_over_its_byte_budget_before_writing():
         render_eca(d, spec)
     with pytest.raises(TooLarge):
         render_compare(d, small, highlight_pyramid(small, [1]), spec)
+
+
+def test_svg_peak_memory_is_about_twice_the_document():
+    # rects are joined per row, so the parts list holds ~one document, not one string per rect
+    p = evolve([(i * 7) % 10 for i in range(300)])
+    tracemalloc.start()
+    try:
+        doc = render_svg(p, spec=RenderSpec(format="svg", cell_px=12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * len(doc)
 
 
 def test_svg_coordinates_are_exact_at_any_scale():
