@@ -12,6 +12,7 @@ missing neighbors (an explicit sea of zeros), ``"periodic"`` wraps.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 BOUNDARIES = ("zero", "periodic")
+_AGREEMENT_BLOCK = 1 << 16  # cone cells per pass of impulse_agreement: ~1.5 MB of index temporaries
 
 
 class OutOfRange(ValueError):
@@ -107,25 +109,37 @@ def _periodic(boundary: str) -> bool:
     return boundary == "periodic"
 
 
-def _step(padded: np.ndarray, table: np.ndarray, periodic: bool, out: np.ndarray) -> None:
-    """Write the successor of the row in ``padded[1:-1]`` into ``out``.
+def _diagram(first: np.ndarray, table: tuple[int, ...], periodic: bool, generations: int) -> np.ndarray:
+    """Rows 0..``generations`` from the 0/1 row ``first``, as a ``(generations + 1, width)`` uint8 array.
 
-    ``padded`` carries one edge cell on each side: the zero boundary leaves
-    them 0, the periodic one copies the far end of the row into them.
+    A row is one Python ``int`` with cell i at bit i, so a generation is a few
+    whole-row bitwise operations: the successor is the OR of the rule's
+    minterms over the left neighbors, the cells and the right neighbors.
+    Each generation is kept only as its packed bytes until one unpack.
     """
-    if periodic:
-        padded[0], padded[-1] = padded[-2], padded[1]
-    idx = (padded[:-2] << 2) | (padded[1:-1] << 1) | padded[2:]
-    np.take(table, idx, out=out)
+    n = first.size
+    nbytes = (n + 7) // 8
+    full = (1 << n) - 1
+    ones = [k for k in range(8) if table[k]]
+    x = int.from_bytes(np.packbits(first, bitorder="little"), "little")
+    packed = bytearray(x.to_bytes(nbytes, "little"))
+    for _ in range(generations):
+        left, right = (x << 1) & full, x >> 1  # the zero boundary shifts in 0
+        if periodic:
+            left |= x >> (n - 1)
+            right |= (x & 1) << (n - 1)
+        bits = ((full ^ left, left), (full ^ x, x), (full ^ right, right))
+        x = 0
+        for k in ones:
+            x |= bits[0][k >> 2] & bits[1][k >> 1 & 1] & bits[2][k & 1]
+        packed += x.to_bytes(nbytes, "little")
+    rows = np.frombuffer(packed, np.uint8).reshape(generations + 1, nbytes)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
 def eca_step(row: RowLike, rule: RuleLike, boundary: str = "zero") -> np.ndarray:
     """One synchronous update; the width never changes."""
-    r = _as_binary_row(row)
-    table = np.asarray(_as_rule(rule).table, dtype=np.uint8)
-    out = np.empty_like(r)
-    _step(np.pad(r, 1), table, _periodic(boundary), out)
-    return out
+    return _diagram(_as_binary_row(row), _as_rule(rule).table, _periodic(boundary), 1)[1]
 
 
 @dataclass(frozen=True)
@@ -159,20 +173,17 @@ def eca_evolve(
     Raises :class:`TooLarge`, before converting the row, when the diagram
     would hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
+    try:
+        generations = operator.index(generations)
+    except TypeError:
+        raise TypeError(f"generations is an integer, got {generations!r}") from None
     if generations < 0:
         raise ValueError("generations is non-negative")
     periodic = _periodic(boundary)
     width = initial.size if isinstance(initial, np.ndarray) else len(initial)
     TooLarge.check((generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
     rl = _as_rule(rule)
-    first = _as_binary_row(initial)
-    table = np.asarray(rl.table, dtype=np.uint8)
-    rows = np.empty((generations + 1, first.size), dtype=np.uint8)
-    rows[0] = first
-    padded = np.zeros(first.size + 2, dtype=np.uint8)
-    for t in range(generations):
-        padded[1:-1] = rows[t]
-        _step(padded, table, periodic, rows[t + 1])
+    rows = _diagram(_as_binary_row(initial), rl.table, periodic, generations)
     rows.setflags(write=False)
     return EcaDiagram(rows, rl, boundary)
 
@@ -188,16 +199,23 @@ def impulse_agreement(mask: HighlightMask, impulse_index: int) -> tuple[float, f
     Either ratio at 1.0 certifies an exact structural reproduction.
     """
     j0 = int(impulse_index)
-    total = direct = 0
-    for t, row in enumerate(mask.rows):
-        # the cone cells i = j0 - t + k that row t holds, and their parity
-        # by pascal_mod2's carry condition (k & (t - k)) == 0
-        lo, hi = max(j0 - t, 0), min(j0, row.size - 1)
-        if lo > hi:
-            continue
-        k = np.arange(lo - j0 + t, hi - j0 + t + 1)
-        total += hi - lo + 1
-        direct += int(np.count_nonzero(row[lo : hi + 1] == ((k & (t - k)) == 0)))
-    if total == 0:
+    cells, starts = mask.packed
+    n, h = mask.base_width, mask.height
+    if not 0 <= j0 < n:
         raise ValueError("no cone cells: impulse index outside the pyramid")
+    # cone cell (t, j0 - t + k) is (a, b) = (k, t - k): the rectangle a <= n - 1 - j0,
+    # b <= j0 (cut to a + b < h), where binomial(a + b, a) is odd iff a & b == 0
+    # int32 offsets: a, b < height, and a mask of 2**30 rows would not fit in memory
+    b = np.arange(min(j0 + 1, h), dtype=np.int32)
+    rows = min(n - j0, h)
+    total = direct = 0
+    step = max(1, _AGREEMENT_BLOCK // b.size)  # whole a-rows per block
+    for a0 in range(0, rows, step):
+        a = np.arange(a0, min(a0 + step, rows), dtype=np.int32)[:, None]
+        t = a + b
+        inside = t < h
+        # cells past the cut index nothing real: clip them into range and count them out
+        hit = cells.take(starts.take(t, mode="clip") + (j0 - b), mode="clip") == ((a & b) == 0)
+        total += int(np.count_nonzero(inside))
+        direct += int(np.count_nonzero(hit & inside))
     return direct / total, (total - direct) / total

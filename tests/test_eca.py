@@ -171,6 +171,24 @@ def test_evolve_refuses_a_diagram_over_the_cell_budget_before_allocating():
     assert eca_evolve(row, 90, 1).generations == 1
 
 
+def test_evolve_memory_stays_near_the_diagram_it_returns():
+    row = impulse_row(1_000_000)
+    tracemalloc.start()
+    try:
+        d = eca_evolve(row, 90, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * d.rows.nbytes  # no per-cell index temporaries on the way
+
+
+@pytest.mark.parametrize("generations", [1.5, "2", None])
+def test_evolve_names_a_generations_argument_that_is_not_an_integer(generations):
+    with pytest.raises(TypeError, match="generations"):
+        eca_evolve([0, 1, 0], 90, generations)
+    assert eca_evolve([0, 1, 0], 90, np.int64(1)).generations == 1
+
+
 def test_diagram_rows_are_read_only():
     d = eca_evolve(impulse_row(5), 90, 2)
     with pytest.raises(ValueError):
@@ -206,6 +224,33 @@ def test_evolve_matches_repeated_steps_for_every_rule(row, boundary, generations
         d = eca_evolve(row, number, generations, boundary=boundary)
         assert d.rows.dtype == np.uint8
         assert np.array_equal(d.rows, np.array(expected)), number
+
+
+def _edge_row(width):
+    # ones at both ends, so that every boundary term matters
+    return [int(i % 3 != 1 or i == width - 1) for i in range(width)]
+
+
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=200),
+    st.sampled_from(BOUNDARIES),
+    st.integers(0, 4),
+)
+@example([1], "periodic", 3)
+@example(_edge_row(63), "periodic", 3)
+@example(_edge_row(64), "zero", 3)
+@example(_edge_row(64), "periodic", 3)
+@example(_edge_row(65), "zero", 3)
+@example(_edge_row(65), "periodic", 3)
+@settings(max_examples=20, deadline=None)
+def test_evolve_matches_the_truth_table_read_cell_by_cell(row, boundary, generations):
+    # rows past 64 and 128 cells cross the machine-word marks of the packed kernel
+    for number in range(256):
+        expected = [row]
+        for _ in range(generations):
+            expected.append(_step_by_cell(expected[-1], number, boundary))
+        d = eca_evolve(row, number, generations, boundary=boundary)
+        assert d.rows.tolist() == expected, number
 
 
 def test_rule_90_impulse_is_binomial_parity():
@@ -300,6 +345,11 @@ def _agreement_by_cell(mask, j0):
     return direct / total, complement / total
 
 
+def _random_mask(n, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, n * (n + 1) // 2).astype(bool)
+    return HighlightMask(tuple(np.split(bits, np.cumsum(np.arange(n, 1, -1)))))
+
+
 @st.composite
 def masks_and_origins(draw):
     # any boolean triangle, not only impulse pyramids, and an origin in -3 .. n+3
@@ -313,6 +363,12 @@ def masks_and_origins(draw):
 
 
 @given(masks_and_origins())
+# width 701 needs several blocks of whole cone rows once j0 is away from both ends
+@example((highlight_pyramid(evolve(impulse_row(701, 0)), [1]), 0))
+@example((highlight_pyramid(evolve(impulse_row(701)), [1]), 350))
+@example((highlight_pyramid(evolve(impulse_row(701, 700)), [0]), 700))
+@example((highlight_pyramid(evolve(impulse_row(701, 300), max_generations=450), [1]), 300))
+@example((_random_mask(701, 9), 467))
 @settings(max_examples=300, deadline=None)
 def test_impulse_agreement_matches_a_per_cell_reference(case):
     mask, j0 = case
