@@ -1,5 +1,6 @@
 """Command-line behavior: happy paths, exit codes, artifact stability."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -272,3 +273,52 @@ def test_fixture_rows_match_the_listing(capsys):
     assert by_id["p1"] == "2-0-1-7-2-0-1-8"
     assert by_id["a1"].count("1") == 1
     assert np.array_equal(load_fixture("a1").row().sum(), 1)
+
+
+# ---------------------------------------------------------- transcripts
+
+# sha256 of (stdout, stderr, exit status) for each argv, as the CLI printed
+# them when these pins were taken: the fixture listing, the selfcheck lines,
+# the agreement ratios and the error text, next to one figure per format
+TRANSCRIPTS = {
+    "run --input 2-0-1-7-0-4":
+        "a46ca207a8d29b607bdc7312f92025af951371d91947384e545298c73ebbea4a",
+    "run --fixture p1 --pattern 0- --format pbm":
+        "d0d1ef66db16a96da7e0bdf045003199456bb3ec59a80b5720cb43f381d631a3",
+    "run --fixture default-p --format pgm --cell-px 2":
+        "4740abf1cb79fa15221386ca22e706fb877ad715af2553a931b6821f152fb130",
+    "run --input 1-5-2 --symmetric --pattern 5- --format svg":
+        "0ee9dae08c14a861fe364979b4e603a8d54ecf543a687e01a92fe06bd6dc3016",
+    "run --fixture a2 --symmetric --pattern 1- --palette mask":
+        "f94f8a68d8f45b13a58bc2b6ed9104b4cd0fa48bcaa4f8fda2dccf16f0884368",
+    "run --fixture p1-new --pattern 1-0- --align left --max-generations 6":
+        "d1beef7e7a51e228c6ab921ea336749009331ca8c670bb2286aaa6ce72345580",
+    "eca --rule 90 --generations 8":
+        "9b946831d61b16a2194a961f3fff660eb124eadf3c04db5f74090d751a25c705",
+    "eca --rule 110 --generations 5 --initial 0-1-1-0-1-0-0 --format svg --cell-px 3":
+        "f5354c63bb525b13a5eaad445f03c47ab90a651d7389c3dcc8454616d3dc803e",
+    "compare --fixture a1 --pattern 1- --rule 90":
+        "4f0590b10397fc0f63a9247ac3b6cfd52ef9ac890883155fdaf619538e8cd194",
+    "compare --fixture a1 --pattern 0- --rule 182 --format pbm":
+        "a7e980debe2ee8f5fd5a5b397993ece87c6472dc0cd0cb8f7e5a3733407fc9a4",
+    "compare --fixture a2 --pattern 1- --rule 110":
+        "5269d8889e7b42b37c539d3127216b4fcb04532733f4f6d2638c28e66dd79793",
+    "compare --fixture a2 --pattern 9- --rule 30 --format svg":
+        "ddaef8a840499da7208adc52eb70b3de242dfef58e322511bc8f4aa2e7cf48e1",
+    "fixtures":
+        "17e56f59af068b7b2c76935d2077c8f6bbc682adf0ee1ddc2a6773033a5e3b1e",
+    "selfcheck":
+        "2223a4d5945bcec1884c94b9f0eca019884e70e19fe7e96ee85a3fabdac46e5f",
+    "run --input 2--1":
+        "4921c131b1c87b8d01c9bf8f545fe1051393ef7c50af99df77eba54ecbc1db57",
+    "eca --rule 90 --generations 1 --initial 0-2-0":
+        "11544677194631fdb57db576b78b2af39484b753cb4dd8dd6a048ed4caac4a40",
+}
+
+
+@pytest.mark.parametrize("argv", list(TRANSCRIPTS))
+def test_cli_transcripts_are_pinned(argv, capsysbinary):
+    code = run_cli(*argv.split())
+    out, err = capsysbinary.readouterr()
+    digest = hashlib.sha256(b"\0".join([out, err, str(code).encode()])).hexdigest()
+    assert digest == TRANSCRIPTS[argv]
