@@ -24,7 +24,7 @@ from diffca import (
 
 def main() -> None:
     a1 = load_fixture("a1")
-    j0 = int(np.flatnonzero(a1.row())[0])
+    j0 = int(np.flatnonzero(a1)[0])
     print(f"input: {len(a1)} cells, impulse at {j0}")
 
     pyramid = evolve(a1)
@@ -39,7 +39,7 @@ def main() -> None:
     # the rule-90 side, checked column by column while the cone is clear
     # of the row ends: pyramid cell k of generation t lands on column
     # j0 - t + 2k
-    diagram = eca_evolve(a1.row(), 90, len(a1) - 1)
+    diagram = eca_evolve(a1, 90, len(a1) - 1)
     depth = min(j0, len(a1) - 1 - j0)
     mismatches = 0
     for t in range(depth + 1):

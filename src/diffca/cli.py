@@ -19,6 +19,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .eca import (
     BOUNDARIES,
     NonBinaryCell,
@@ -28,7 +30,7 @@ from .eca import (
     impulse_row,
     rule_table,
 )
-from .engine import MAX_PYRAMID_CELLS, InputExpression, RowTooShort, TooLarge, evolve, make_symmetric
+from .engine import MAX_PYRAMID_CELLS, RowTooShort, TooLarge, evolve, make_symmetric
 from .expressions import ExpressionError, parse_expression, serialize_expression
 from .fixtures import DEFAULT_EVOLUTION, FIXTURE_IDS, UnknownFixture, load_fixture
 from .patterns import highlight_pyramid
@@ -124,14 +126,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.format == "pgm" and args.pattern:
         return _usage_error("--format pgm renders values, not matches; drop --pattern")
     if args.input is not None:
-        expr = parse_expression(args.input)
+        row = parse_expression(args.input)
     elif args.file is not None:
-        expr = parse_expression(Path(args.file).read_text(encoding="utf-8"))
+        row = parse_expression(Path(args.file).read_text(encoding="utf-8"))
     else:
-        expr = load_fixture(args.fixture)
+        row = load_fixture(args.fixture)
     if args.symmetric:
-        expr = make_symmetric(expr)
-    pyramid = evolve(expr, max_generations=args.max_generations)
+        row = make_symmetric(row)
+    pyramid = evolve(row, max_generations=args.max_generations)
     mask = highlight_pyramid(pyramid, parse_expression(args.pattern)) if args.pattern else None
     _emit(render_pyramid(pyramid, mask, _render_spec(args)), args.out)
     return 0
@@ -141,39 +143,39 @@ def _cmd_eca(args: argparse.Namespace) -> int:
     rule = rule_table(args.rule)
     if args.generations < 0:
         raise ValueError("generations is non-negative")
-    expr = None
+    row = None
     if args.initial is not None:
         if args.width is not None:
             return _usage_error("--initial already fixes the width; drop --width")
-        expr = parse_expression(args.initial)
-        width = len(expr)
+        row = parse_expression(args.initial)
+        width = row.size
     else:
         width = args.width if args.width is not None else 2 * args.generations + 1
     # checked before the row exists: the default impulse row alone is 2T+1 cells
     TooLarge.check((args.generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
-    initial = impulse_row(width) if expr is None else expr.row()
+    initial = impulse_row(width) if row is None else row
     diagram = eca_evolve(initial, rule, args.generations, boundary=args.boundary)
     _emit(render_eca(diagram, _render_spec(args)), args.out)
     return 0
 
 
-def _is_impulse(expr: InputExpression) -> int | None:
+def _is_impulse(row: np.ndarray) -> int | None:
     """Index of the single nonzero cell, when there is exactly one and it is 1."""
-    hot = [i for i, v in enumerate(expr.terms) if v]
-    return hot[0] if len(hot) == 1 and expr.terms[hot[0]] == 1 else None
+    hot = np.flatnonzero(row)
+    return int(hot[0]) if hot.size == 1 and row[hot[0]] == 1 else None
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    expr = load_fixture(args.fixture)
+    row = load_fixture(args.fixture)
     rule = rule_table(args.rule)
-    pyramid = evolve(expr)
+    pyramid = evolve(row)
     mask = highlight_pyramid(pyramid, parse_expression(args.pattern))
-    initial = expr.row() if all(v <= 1 for v in expr.terms) else impulse_row(len(expr))
-    diagram = eca_evolve(initial, rule, len(expr) - 1, boundary=args.boundary)
+    initial = row if row.max() <= 1 else impulse_row(row.size)
+    diagram = eca_evolve(initial, rule, row.size - 1, boundary=args.boundary)
     diagram_label = f"rule {rule.number}, {args.boundary} boundary"
     pyramid_label = f"difference pyramid: {args.fixture}, pattern {args.pattern}"
     _emit(render_compare(diagram, pyramid, mask, _render_spec(args), diagram_label, pyramid_label), args.out)
-    if (j0 := _is_impulse(expr)) is not None:
+    if (j0 := _is_impulse(row)) is not None:
         direct, complement = impulse_agreement(mask, j0)
         print(f"in-cone agreement vs binomial parity: {direct:.6f}")
         print(f"in-cone complement agreement: {complement:.6f}")
@@ -189,12 +191,12 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         "default-p evolution matches the stored reference triangle":
             evolve(load_fixture("default-p")).to_lists() == [list(row) for row in DEFAULT_EVOLUTION],
         "make_symmetric(p1) reproduces p1-new":
-            make_symmetric(load_fixture("p1")).terms == load_fixture("p1-new").terms,
+            np.array_equal(make_symmetric(load_fixture("p1")), load_fixture("p1-new")),
         "a1 ones-mask equals binomial parity in the cone": impulse_agreement(ones, j0)[0] == 1.0,
         "a1 zeros-mask equals its in-cone complement": impulse_agreement(zeros, j0)[1] == 1.0,
         "fixture expressions survive a parse round trip":
-            all(parse_expression(serialize_expression(load_fixture(f))).terms
-                == load_fixture(f).terms for f in FIXTURE_IDS),
+            all(np.array_equal(parse_expression(serialize_expression(load_fixture(f))), load_fixture(f))
+                for f in FIXTURE_IDS),
     }
     for name, ok in checks.items():
         print(f"{'ok  ' if ok else 'FAIL'} {name}")
@@ -205,8 +207,8 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
     for fid in FIXTURE_IDS:
-        expr = load_fixture(fid)
-        print(f"{fid:<10} {len(expr):>4} cells  {serialize_expression(expr)}")
+        row = load_fixture(fid)
+        print(f"{fid:<10} {row.size:>4} cells  {serialize_expression(row)}")
     return 0
 
 

@@ -48,29 +48,26 @@ class NonBinaryCell(ValueError):
 
 @dataclass(frozen=True)
 class EcaRule:
-    """A rule number with its expanded 8-entry lookup table.
+    """A Wolfram rule number, 0..255, and the 8-entry lookup table it encodes.
 
     ``table[k]`` is the successor bit of the neighborhood
     ``k = 4*left + 2*center + right``.
     """
 
     number: int
-    table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.table) != 8 or any(b not in (0, 1) for b in self.table):
-            raise ValueError("rule table has exactly 8 binary entries")
-        encoded = sum(b << k for k, b in enumerate(self.table))
-        if encoded != self.number:
-            raise ValueError(f"table encodes rule {encoded}, not {self.number}")
+        if not 0 <= self.number <= 255:
+            raise OutOfRange(f"rule numbers run 0..255, got {self.number}")
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        return tuple((self.number >> k) & 1 for k in range(8))
 
 
 def rule_table(number: int) -> EcaRule:
-    """Expand a Wolfram rule number into its lookup table."""
-    number = int(number)
-    if not 0 <= number <= 255:
-        raise OutOfRange(f"rule numbers run 0..255, got {number}")
-    return EcaRule(number, tuple((number >> k) & 1 for k in range(8)))
+    """The rule with Wolfram number ``number``; its ``table`` is the expansion."""
+    return EcaRule(int(number))
 
 
 RuleLike = Union[int, EcaRule]
@@ -198,7 +195,10 @@ def impulse_agreement(mask: HighlightMask, impulse_index: int) -> tuple[float, f
     where the mask equals that parity, and where it equals its negation.
     Either ratio at 1.0 certifies an exact structural reproduction.
     """
-    j0 = int(impulse_index)
+    try:
+        j0 = operator.index(impulse_index)
+    except TypeError:
+        raise TypeError(f"impulse_index is an integer, got {impulse_index!r}") from None
     cells, starts = mask.packed
     n, h = mask.base_width, mask.height
     if not 0 <= j0 < n:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import mmap
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Union
 
@@ -25,7 +24,6 @@ __all__ = [
     "MAX_CELL",
     "MAX_PYRAMID_CELLS",
     "IndexOutOfRange",
-    "InputExpression",
     "Pyramid",
     "RowLike",
     "RowTooShort",
@@ -62,38 +60,15 @@ class IndexOutOfRange(ValueError):
     """Binomial-parity query outside the triangle (i < 0, t < 0 or i > t)."""
 
 
-@dataclass(frozen=True)
-class InputExpression:
-    """A parsed input row: cell values plus the text they came from."""
-
-    terms: tuple[int, ...]
-    source_text: str = ""
-
-    def __post_init__(self) -> None:
-        terms = tuple(int(v) for v in self.terms)
-        as_row(terms)  # raises unless the terms are a nonempty row of 64-bit naturals
-        object.__setattr__(self, "terms", terms)
-
-    def row(self) -> np.ndarray:
-        """The terms as a cell row ready for :func:`evolve`."""
-        return as_row(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-RowLike = Union[np.ndarray, Sequence[int], InputExpression]
+RowLike = Union[np.ndarray, Sequence[int]]
 
 
 def as_row(values: RowLike) -> np.ndarray:
     """Coerce ``values`` to a 1-D uint64 cell row, validating the invariants.
 
-    Accepts any integer sequence, an existing array, or an
-    :class:`InputExpression`. Rejects empty input, negatives, non-integers
-    and values that do not fit in 64 bits.
+    Accepts any integer sequence or an existing array. Rejects empty
+    input, negatives, non-integers and values that do not fit in 64 bits.
     """
-    if isinstance(values, InputExpression):
-        values = values.terms
     arr = np.asarray(values)
     if not isinstance(values, np.ndarray) and arr.dtype.kind not in "iub" and arr.dtype != object:
         # mixed magnitudes near 2**64 coerce to float; retry exactly
@@ -212,11 +187,6 @@ class Triangle:
 class Pyramid(Triangle):
     """Triangular space-time diagram of the difference rule: rows of cell values."""
 
-    @property
-    def complete(self) -> bool:
-        """True when the evolution ran all the way down to one cell."""
-        return self.height == self.base_width
-
     def to_lists(self) -> list[list[int]]:
         """Rows as plain ``int`` lists (handy for comparisons and JSON)."""
         return [r.tolist() for r in self.rows]
@@ -255,15 +225,14 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     return Pyramid.__new__(Pyramid)._hold(cells, t * (2 * n + 1 - t) // 2)
 
 
-def make_symmetric(p: RowLike) -> InputExpression:
-    """Concatenate the input with its own reversal, doubling its length.
+def make_symmetric(p: RowLike) -> np.ndarray:
+    """Concatenate the input row with its own reversal, doubling its length.
 
     The result is a palindrome, and the difference rule preserves
     palindromes, so every row of its evolution is symmetric.
     """
-    old = tuple(as_row(p).tolist())
-    terms = old + old[::-1]
-    return InputExpression(terms, "-".join(str(v) for v in terms))
+    row = as_row(p)
+    return np.concatenate([row, row[::-1]])
 
 
 def pascal_mod2(t: int, i: int) -> int:

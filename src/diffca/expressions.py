@@ -15,7 +15,9 @@ error.
 
 from __future__ import annotations
 
-from .engine import MAX_CELL, InputExpression, RowLike, as_row
+import numpy as np
+
+from .engine import CELL_DTYPE, MAX_CELL, RowLike, as_row
 
 __all__ = [
     "EmptyExpression",
@@ -51,8 +53,8 @@ class ValueOverflow(ExpressionError):
     """A term does not fit the 64-bit cell width."""
 
 
-def parse_expression(text: str) -> InputExpression:
-    """Parse ``text`` into an :class:`InputExpression`.
+def parse_expression(text: str) -> np.ndarray:
+    """Parse ``text`` into a read-only uint64 cell row.
 
     Raises exactly one of :class:`EmptyExpression`,
     :class:`InvalidCharacter`, :class:`EmptyTerm` or
@@ -77,7 +79,9 @@ def parse_expression(text: str) -> InputExpression:
     if len(big) > len(str(MAX_CELL)) or int(big) > MAX_CELL:
         shown = big if len(big) <= 40 else big[:20] + "..."
         raise ValueOverflow(f"term {shown} exceeds the cell bound {MAX_CELL}")
-    return InputExpression(tuple(map(int, parts)), text)
+    row = np.array(list(map(int, parts)), dtype=CELL_DTYPE)  # every term was bounded above
+    row.setflags(write=False)
+    return row
 
 
 def serialize_expression(p: RowLike) -> str:

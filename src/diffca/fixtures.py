@@ -19,7 +19,8 @@ re-derives it and compares.
 
 from __future__ import annotations
 
-from .engine import InputExpression
+import numpy as np
+
 from .expressions import parse_expression
 
 __all__ = [
@@ -85,8 +86,8 @@ DEFAULT_EVOLUTION: tuple[tuple[int, ...], ...] = (
 )
 
 
-def load_fixture(name: str) -> InputExpression:
-    """Return the named fixture, parsed from its verbatim source string."""
+def load_fixture(name: str) -> np.ndarray:
+    """Return the named fixture's cell row, parsed from its verbatim source string."""
     try:
         source = _SOURCES[name]
     except KeyError:

@@ -12,6 +12,7 @@ identical inputs give byte-identical output.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, replace
 from itertools import pairwise
@@ -79,7 +80,11 @@ class RenderSpec:
         for name, allowed in (("format", FORMATS), ("alignment", ALIGNMENTS), ("palette", PALETTES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} is one of {allowed}, got {getattr(self, name)!r}")
-        if self.cell_px < 1:
+        try:
+            cell_px = operator.index(self.cell_px)
+        except TypeError:
+            raise TypeError(f"cell_px is an integer, got {self.cell_px!r}") from None
+        if cell_px < 1:
             raise ValueError("cell_px is at least 1")
         if not re.fullmatch(r"#[0-9a-fA-F]{6}", self.highlight_color):
             raise ValueError(f"highlight_color is #rrggbb, got {self.highlight_color!r}")

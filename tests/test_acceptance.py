@@ -107,8 +107,8 @@ def test_reference_triangle(criterion):
 
 def test_symmetric_construction(criterion):
     with criterion(2, "mirrored inputs evolve to palindromic rows, 1000 cases < 1 s"):
-        assert make_symmetric([1, 5]).terms == (1, 5, 5, 1)
-        assert make_symmetric(load_fixture("p1")).terms == load_fixture("p1-new").terms
+        assert make_symmetric([1, 5]).tolist() == [1, 5, 5, 1]
+        assert np.array_equal(make_symmetric(load_fixture("p1")), load_fixture("p1-new"))
         rng = np.random.default_rng(2024)
         t0 = time.perf_counter()
         for case in range(1000):
@@ -126,7 +126,7 @@ def test_impulse_matches_rule_90_and_binomial_parity(criterion):
     with criterion(3, "impulse masks equal the rule-90 diagram and binomial parity, exact < 1 s"):
         t0 = time.perf_counter()
         a1 = load_fixture("a1")
-        j0 = int(np.flatnonzero(a1.row())[0])
+        j0 = int(np.flatnonzero(a1)[0])
         width = len(a1)
         pyramid = evolve(a1)
         ones = highlight_pyramid(pyramid, parse_expression("1-"))
@@ -142,7 +142,7 @@ def test_impulse_matches_rule_90_and_binomial_parity(criterion):
 
         # rule-90 side: same cone, two columns per step, valid while the
         # light cone stays inside the finite row
-        diagram = eca_evolve(a1.row(), 90, width - 1)
+        diagram = eca_evolve(a1, 90, width - 1)
         free = min(j0, width - 1 - j0)
         for t in range(free + 1):
             for k in range(t + 1):
@@ -193,16 +193,16 @@ def test_engine_properties(criterion):
 
 def test_expression_round_trip_and_fuzz(criterion):
     with criterion(6, "round trip exact; 100000 fuzz strings raise only defined errors, < 10 s"):
-        assert parse_expression("2-0-1-7-").terms == (2, 0, 1, 7)
+        assert parse_expression("2-0-1-7-").tolist() == [2, 0, 1, 7]
         for fid in ("default-p", "p1", "p1-new", "a1", "a2"):
-            expr = load_fixture(fid)
-            assert parse_expression(serialize_expression(expr)).terms == expr.terms
+            row = load_fixture(fid)
+            assert np.array_equal(parse_expression(serialize_expression(row)), row)
         rng = np.random.default_rng(77)
         for _ in range(200):
             size = int(rng.integers(1, 24))
-            terms = tuple(int(v) for v in rng.integers(0, 2**64, size=size, dtype=np.uint64))
+            terms = [int(v) for v in rng.integers(0, 2**64, size=size, dtype=np.uint64)]
             text = "-".join(str(v) for v in terms)
-            assert parse_expression(text).terms == terms
+            assert parse_expression(text).tolist() == terms
 
         alphabet = np.array(list("0123456789-[]() \t.xyzZ?"))
         t0 = time.perf_counter()

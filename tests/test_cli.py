@@ -272,7 +272,7 @@ def test_fixture_rows_match_the_listing(capsys):
     by_id = {line.split()[0]: line.split()[-1] for line in lines}
     assert by_id["p1"] == "2-0-1-7-2-0-1-8"
     assert by_id["a1"].count("1") == 1
-    assert np.array_equal(load_fixture("a1").row().sum(), 1)
+    assert load_fixture("a1").sum() == 1
 
 
 # ---------------------------------------------------------- transcripts

@@ -58,13 +58,8 @@ def test_rule_110_truth_table():
 def test_rule_numbers_are_one_byte(bad):
     with pytest.raises(OutOfRange):
         rule_table(bad)
-
-
-def test_eca_rule_checks_its_own_consistency():
-    rule = rule_table(90)
-    assert EcaRule(rule.number, rule.table) == rule
-    with pytest.raises(ValueError):
-        EcaRule(90, (1,) * 8)
+    with pytest.raises(OutOfRange):
+        EcaRule(bad)
 
 
 # ------------------------------------------------------------- steps
@@ -378,6 +373,14 @@ def test_impulse_agreement_matches_a_per_cell_reference(case):
             impulse_agreement(mask, j0)
     else:
         assert impulse_agreement(mask, j0) == expected
+
+
+@pytest.mark.parametrize("index", [1.7, "1", None])
+def test_impulse_agreement_names_an_index_that_is_not_an_integer(index):
+    mask = highlight_pyramid(evolve([0, 1, 0]), [1])
+    with pytest.raises(TypeError, match="impulse_index"):
+        impulse_agreement(mask, index)
+    assert impulse_agreement(mask, np.int64(1)) == (1.0, 0.0)
 
 
 def test_impulse_agreement_needs_a_valid_origin():

@@ -13,7 +13,6 @@ from diffca.engine import (
     MAX_CELL,
     MAX_PYRAMID_CELLS,
     IndexOutOfRange,
-    InputExpression,
     Pyramid,
     RowTooShort,
     TooLarge,
@@ -23,6 +22,7 @@ from diffca.engine import (
     pascal_mod2,
     step,
 )
+from diffca.expressions import parse_expression
 
 # ------------------------------------------------------------ oracle
 #
@@ -58,7 +58,7 @@ def test_pascal_mod2_rejects_out_of_range(t, i):
 
 def test_as_row_accepts_lists_arrays_and_expressions():
     expected = np.array([2, 0, 1], dtype=CELL_DTYPE)
-    for source in ([2, 0, 1], np.array([2, 0, 1]), InputExpression((2, 0, 1))):
+    for source in ([2, 0, 1], np.array([2, 0, 1]), parse_expression("2-0-1")):
         row = as_row(source)
         assert row.dtype == CELL_DTYPE
         assert np.array_equal(row, expected)
@@ -76,18 +76,6 @@ def test_as_row_keeps_the_top_of_the_cell_range():
 def test_as_row_rejects_non_natural_input(bad):
     with pytest.raises((ValueError, TypeError)):
         as_row(bad)
-
-
-def test_input_expression_validates_terms():
-    expr = InputExpression((2, 0, 1, 4), source_text="2-0-1-4")
-    assert len(expr) == 4
-    assert np.array_equal(expr.row(), [2, 0, 1, 4])
-    with pytest.raises(ValueError):
-        InputExpression(())
-    with pytest.raises(ValueError):
-        InputExpression((-3,))
-    with pytest.raises(ValueError):
-        InputExpression((MAX_CELL + 1,))
 
 
 # ------------------------------------------------------------- step
@@ -121,7 +109,7 @@ def test_evolve_contracts_to_a_single_cell():
     assert isinstance(p, Pyramid)
     assert p.base_width == 4
     assert p.height == 4
-    assert p.complete
+    assert p.height == p.base_width
     assert p.to_lists() == [[2, 0, 1, 4], [2, 1, 3], [1, 2], [1]]
 
 
@@ -134,10 +122,11 @@ def test_evolve_single_cell_input():
 def test_evolve_respects_max_generations():
     p = evolve([2, 0, 1, 4], max_generations=2)
     assert p.height == 3
-    assert not p.complete
+    assert p.height != p.base_width
     assert p.to_lists() == [[2, 0, 1, 4], [2, 1, 3], [1, 2]]
     assert evolve([2, 0, 1, 4], max_generations=0).height == 1
-    assert evolve([2, 0, 1, 4], max_generations=99).complete
+    p = evolve([2, 0, 1, 4], max_generations=99)
+    assert p.height == p.base_width
 
 
 def test_evolve_rejects_negative_generation_cap():
@@ -223,9 +212,10 @@ def test_impulse_pyramid_is_binomial_parity_everywhere():
 
 
 def test_make_symmetric_mirrors_the_terms():
-    assert make_symmetric(InputExpression((1, 5))).terms == (1, 5, 5, 1)
-    assert make_symmetric([2, 0, 1]).terms == (2, 0, 1, 1, 0, 2)
-    assert make_symmetric([7]).terms == (7, 7)
+    assert make_symmetric(parse_expression("1-5")).tolist() == [1, 5, 5, 1]
+    assert make_symmetric([2, 0, 1]).tolist() == [2, 0, 1, 1, 0, 2]
+    assert make_symmetric([7]).dtype == CELL_DTYPE
+    assert make_symmetric([MAX_CELL]).tolist() == [MAX_CELL, MAX_CELL]
 
 
 # ------------------------------------------------------ invariants

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from diffca.engine import evolve
-from diffca.expressions import parse_expression
+from diffca.engine import CELL_DTYPE, evolve
 from diffca.fixtures import (
     A1_IMPULSE_INDEX,
     DEFAULT_EVOLUTION,
@@ -17,9 +16,9 @@ from diffca.fixtures import (
 def test_every_id_loads():
     assert set(FIXTURE_IDS) == {"default-p", "p1", "p1-new", "a1", "a2"}
     for fid in FIXTURE_IDS:
-        expr = load_fixture(fid)
-        assert len(expr) > 0
-        assert parse_expression(expr.source_text).terms == expr.terms
+        row = load_fixture(fid)
+        assert row.size > 0
+        assert row.dtype == CELL_DTYPE and not row.flags.writeable  # callers cannot edit a fixture
 
 
 def test_unknown_ids_are_rejected_by_name():
@@ -39,26 +38,26 @@ def test_fixture_lengths(fid, length):
 
 
 def test_default_p_is_a_palindrome():
-    terms = load_fixture("default-p").terms
-    assert terms == terms[::-1]
+    row = load_fixture("default-p")
+    assert np.array_equal(row, row[::-1])
 
 
 def test_p1_new_extends_p1_symmetrically():
-    p1 = load_fixture("p1").terms
-    assert load_fixture("p1-new").terms == p1 + p1[::-1]
+    p1 = load_fixture("p1").tolist()
+    assert load_fixture("p1-new").tolist() == p1 + p1[::-1]
 
 
 def test_a1_is_a_centered_impulse():
-    row = load_fixture("a1").row()
+    row = load_fixture("a1")
     assert row.sum() == 1
     assert int(np.flatnonzero(row)[0]) == A1_IMPULSE_INDEX
     assert row.size == 2 * A1_IMPULSE_INDEX + 1
 
 
 def test_a2_is_a_digit_row():
-    terms = load_fixture("a2").terms
-    assert max(terms) <= 9
-    assert max(terms) > 1  # not a binary row: the impulse comparison
+    row = load_fixture("a2")
+    assert row.max() <= 9
+    assert row.max() > 1  # not a binary row: the impulse comparison
     # falls back to a centered 1 for this fixture
 
 
@@ -70,4 +69,4 @@ def test_stored_evolution_is_consistent_with_the_rule():
 
 
 def test_stored_evolution_matches_the_fixture_row():
-    assert load_fixture("default-p").terms == DEFAULT_EVOLUTION[0]
+    assert tuple(load_fixture("default-p").tolist()) == DEFAULT_EVOLUTION[0]

@@ -361,6 +361,16 @@ def test_render_spec_validates_fields():
         RenderSpec(highlight_color='"/><script/>')
 
 
+@pytest.mark.parametrize("cell_px", [1.5, 2.0, "3", None])
+def test_render_spec_names_a_cell_px_that_is_not_an_integer(cell_px):
+    with pytest.raises(TypeError, match="cell_px"):
+        RenderSpec(format="svg", cell_px=cell_px)
+    p = evolve([1, 0])
+    assert render_svg(p, spec=RenderSpec(format="svg", cell_px=np.int64(2))) == (
+        render_svg(p, spec=RenderSpec(format="svg", cell_px=2))
+    )
+
+
 # ------------------------------------------------------------ compare
 
 
