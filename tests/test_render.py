@@ -99,6 +99,9 @@ def _ascii_by_cell(p, mask, spec: RenderSpec) -> str:
     st.integers(1, 2),
 )
 @example([MAX_CELL, 0, 7], 0, 1)
+@example([2**16 - 1, 3, 2**16 - 2], 1, 1)  # the largest maximum indexed by value
+@example([2**16, 3, 2**16 - 1], 1, 1)  # the smallest maximum indexed through np.unique
+@example([MAX_CELL, 7, MAX_CELL, 0], 0, 2)  # full range, masked: a matched value wider than the printed ones
 @settings(max_examples=150, deadline=None)
 def test_ascii_matches_a_per_cell_reference(values, start, k):
     p = evolve(values)
@@ -108,6 +111,18 @@ def test_ascii_matches_a_per_cell_reference(values, start, k):
             for alignment in ("centered", "left"):
                 spec = RenderSpec(palette=palette, alignment=alignment)
                 assert render_ascii(p, mask, spec) == _ascii_by_cell(p, mask, spec)
+
+
+def test_ascii_peak_memory_stays_near_the_text():
+    # 2.12x is the peak of the per-row astype(str) writer this one replaced
+    p = evolve([(i * 7) % 10 for i in range(1000)])
+    tracemalloc.start()
+    try:
+        text = render_ascii(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.12 * len(text)
 
 
 def test_ascii_rejects_foreign_masks():
@@ -230,6 +245,65 @@ def test_gray_shading_is_exact_over_the_full_cell_range(values, cap):
     assert fills == [g for row in expected for g in row]
 
 
+def _pgm_by_row(gray_rows: list[list[int]], cp: int, centered: bool) -> bytes:
+    """Reference plain PGM, pixel row by pixel row, each wrapped greedily at 70 columns."""
+    width = len(gray_rows[0]) * cp
+    lines = [f"P2\n{width} {len(gray_rows) * cp}\n255"]
+    for grays in gray_rows:
+        x = (width - len(grays) * cp) // 2 if centered else 0
+        pixels = [255] * x + [g for g in grays for _ in range(cp)]
+        pixels += [255] * (width - len(pixels))
+        for _ in range(cp):
+            line = ""
+            for token in map(str, pixels):  # a token joins the line if the line stays within 70
+                if line and len(line) + 1 + len(token) <= 70:
+                    line += " " + token
+                else:
+                    if line:
+                        lines.append(line)
+                    line = token
+            lines.append(line)
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# canvas widths in pixels where a line of 3-, 2- and 1-digit tokens just fills or overflows
+_PGM_FILLS = (17, 18, 23, 24, 35, 36)
+
+
+@given(
+    st.sampled_from(_PGM_FILLS),
+    st.integers(1, 3),
+    st.sampled_from([(0, 9), (10, 99), (100, 255), (0, 255)]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_pgm_lines_wrap_like_a_per_row_reference(fill, cp, digits, data):
+    # row 0 holds 255 - g for drawn grays g, so under a row maximum of 255 it shades to exactly g
+    n = max(1, round(fill / cp))
+    grays = data.draw(st.lists(st.integers(*digits), min_size=n, max_size=n))
+    grays[data.draw(st.integers(0, n - 1))] = 0
+    values = [255 - g for g in grays]
+    cap = data.draw(st.none() | st.integers(0, 3))
+    p = evolve(values, max_generations=cap)
+    gray_rows = _python_grays(values, len(p))
+    assert gray_rows[0] == grays
+    for alignment in ("centered", "left"):
+        spec = RenderSpec(format="pgm", cell_px=cp, alignment=alignment)
+        assert render_pgm(p, spec) == _pgm_by_row(gray_rows, cp, alignment == "centered")
+
+
+def test_pgm_peak_memory_stays_near_the_document():
+    # 4.13x is the peak of the per-row str and rfind writer this one replaced
+    p = evolve([(i * 7) % 10 for i in range(1000)])
+    tracemalloc.start()
+    try:
+        doc = render_pgm(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.13 * len(doc)
+
+
 # --------------------------------------------------------------- svg
 
 
@@ -301,6 +375,90 @@ def test_svg_coordinates_are_exact_at_any_scale():
         ("205761.5", "411523"), ("617284.5", "411523"),
         ("411523", "823046"),
     ]
+
+
+def _svg_by_rect(panels, spec: RenderSpec) -> str:
+    """Reference SVG, one f-string per rect.
+
+    ``panels`` is a list of row lists; a cell is a gray level 0..255 or None
+    for ink. The panels stack one blank cell row apart, each centered on the
+    widest, and x is written exactly, with ".5" on a half pixel.
+    """
+    cp = spec.cell_px
+    width = max(len(rows[0]) for rows in panels) * cp
+    height = (sum(len(rows) for rows in panels) + len(panels) - 1) * cp
+    edge = ' stroke="#c8c8c8" stroke-width="1"' if cp >= 6 else ""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" shape-rendering="crispEdges">'
+    ]
+    y = 0
+    for rows in panels:
+        pw = len(rows[0]) * cp
+        for row in rows:
+            x2 = width - pw + (pw - len(row) * cp if spec.alignment == "centered" else 0)  # half pixels
+            for i, gray in enumerate(row):
+                x = f"{x2 // 2 + i * cp}" + (".5" if x2 % 2 else "")
+                fill = spec.highlight_color if gray is None else f"#{gray:02x}{gray:02x}{gray:02x}"
+                parts.append(f'<rect x="{x}" y="{y}" width="{cp}" height="{cp}" fill="{fill}"{edge}/>')
+            y += cp
+        y += cp
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def _painted(gray_rows, mask, shade: bool):
+    """Pyramid cells as the reference paints them: None where matched, else gray or white."""
+    return [
+        [None if mask is not None and mask.rows[t][i] else g if shade else 255 for i, g in enumerate(grays)]
+        for t, grays in enumerate(gray_rows)
+    ]
+
+
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=9),
+    st.none() | st.integers(0, 3),
+    st.none() | st.tuples(st.integers(0, 8), st.integers(1, 2)),
+    st.sampled_from([1, 2, 5, 6, 12]),
+    st.sampled_from(["#1a1a1a", "#FF00aa"]),
+)
+@example([MAX_CELL, 0, 3], None, (0, 1), 5, "#1a1a1a")
+@settings(max_examples=100, deadline=None)
+def test_svg_matches_a_per_rect_reference(values, cap, pattern, cp, color):
+    p = evolve(values, max_generations=cap)
+    gray_rows = _python_grays(values, len(p))
+    mask = None
+    if pattern is not None:
+        start = pattern[0] % len(values)
+        mask = highlight_pyramid(p, values[start : start + pattern[1]])
+    for palette in ("values", "mask", "grayscale"):
+        for alignment in ("centered", "left"):
+            spec = RenderSpec(format="svg", cell_px=cp, alignment=alignment, palette=palette, highlight_color=color)
+            shade = palette == "grayscale" or (mask is None and palette == "values")
+            assert render_svg(p, mask, spec) == _svg_by_rect([_painted(gray_rows, mask, shade)], spec)
+
+
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=9),
+    st.integers(0, 4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=9),
+    st.sampled_from([1, 2, 5, 6, 12]),
+    st.sampled_from(["#1a1a1a", "#FF00aa"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_eca_and_compare_svg_match_a_per_rect_reference(bits, generations, values, cp, color):
+    # diagrams and pyramids of unequal width, so either panel can be the narrower
+    d = eca_evolve(bits, 90, generations)
+    diagram = [[None if b else 255 for b in row.tolist()] for row in d.rows]
+    p = evolve(values)
+    mask = highlight_pyramid(p, values[:1])
+    gray_rows = _python_grays(values, len(p))
+    for palette in ("values", "grayscale"):
+        for alignment in ("centered", "left"):
+            spec = RenderSpec(format="svg", cell_px=cp, alignment=alignment, palette=palette, highlight_color=color)
+            assert render_eca(d, spec) == _svg_by_rect([diagram], spec)
+            pyramid = _painted(gray_rows, mask, palette == "grayscale")
+            assert render_compare(d, p, mask, spec) == _svg_by_rect([diagram, pyramid], spec)
 
 
 # --------------------------------------------------------------- eca
