@@ -57,8 +57,13 @@ class EcaRule:
     number: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.number <= 255:
-            raise OutOfRange(f"rule numbers run 0..255, got {self.number}")
+        try:
+            number = operator.index(self.number)
+        except TypeError:
+            raise TypeError(f"rule number is an integer, got {self.number!r}") from None
+        if not 0 <= number <= 255:
+            raise OutOfRange(f"rule numbers run 0..255, got {number}")
+        object.__setattr__(self, "number", number)  # a plain int, whatever integer type came in
 
     @property
     def table(self) -> tuple[int, ...]:
@@ -67,7 +72,7 @@ class EcaRule:
 
 def rule_table(number: int) -> EcaRule:
     """The rule with Wolfram number ``number``; its ``table`` is the expansion."""
-    return EcaRule(int(number))
+    return EcaRule(number)
 
 
 RuleLike = Union[int, EcaRule]

@@ -62,6 +62,20 @@ def test_rule_numbers_are_one_byte(bad):
         EcaRule(bad)
 
 
+@pytest.mark.parametrize("number", [90.7, 90.0, "90", None])
+def test_rule_numbers_that_are_not_integers_are_named(number):
+    with pytest.raises(TypeError, match="rule number is an integer"):
+        rule_table(number)
+    with pytest.raises(TypeError, match="rule number is an integer"):
+        EcaRule(number)
+
+
+def test_rule_numbers_take_integer_likes():
+    assert rule_table(np.uint8(90)) == rule_table(90)
+    assert EcaRule(np.int64(30)).table == EcaRule(30).table
+    assert type(EcaRule(np.int64(30)).number) is int
+
+
 # ------------------------------------------------------------- steps
 
 
