@@ -50,6 +50,8 @@ GRID_COLOR = "#c8c8c8"  # svg cell outlines, drawn from cell_px 6 up
 _PNM_LINE = 70  # plain-format line length cap
 # an 8192 x 8192 raster: 64 MiB as uint8, before its plain-text serialization
 MAX_CANVAS_PIXELS = 8192 * 8192
+_ASCII_BY_VALUE = 1 << 16  # ascii tokens are tabulated by value below this maximum
+_SVG_JOIN = 1 << 12  # rects a string holds at most: a wide row's temporaries stay small
 
 # A paint is INK (highlighted, or 1 in a diagram) or a gray level from 0
 # (black) to 255 (white); BLANK, the unpainted cell, is white.
@@ -112,22 +114,49 @@ def render_ascii(
     """
     spec = spec or RenderSpec()
     _check_congruent(p, mask)
-    blank = mask is not None and spec.palette == "mask"
-    printed = True if mask is None else ~mask.packed[0]  # the cells shown as digits
-    # every token is padded to the longest: one glyph, or the largest printed value
-    width = 1 if blank else len(str(int(p.packed[0].max(initial=0, where=printed))))
+    cells, starts = p.packed
+    matched = None if mask is None else mask.packed[0]
+    if matched is not None and spec.palette == "mask":
+        # the mask itself picks '.' or '#'
+        width, index, matched = 1, matched.view(np.uint8), None
+        tokens = np.frombuffer(f"{EMPTY_GLYPH} {FILLED_GLYPH} ".encode(), dtype="V2")
+    else:
+        # every token is padded to the longest: one glyph, or the largest printed value
+        printed = True if matched is None else ~matched
+        width = len(str(int(cells.max(initial=0, where=printed))))
+        # tokens by value while the table stays small; past that, only the values present
+        if (top := int(cells.max())) < _ASCII_BY_VALUE:
+            index, tokens = cells, _tokens(np.arange(top + 1, dtype=CELL_DTYPE), width)
+        else:
+            keys, index = np.unique(cells, return_inverse=True)
+            tokens = _tokens(keys, width)
     half = (width + 2) // 2  # half the cell pitch (token + one space), rounded up
+    filled = len(tokens) - 1
     lines = []
-    for t, row in enumerate(p.rows):
-        # digits via the narrowest dtype that holds the row make short tokens
-        tokens = EMPTY_GLYPH if blank else row.astype(np.min_scalar_type(row.max(initial=0))).astype(str)
-        if mask is not None:
-            tokens = np.where(mask[t], FILLED_GLYPH, tokens)
-        if width > 1 and np.char.str_len(tokens).min(initial=width) < width:
-            tokens = np.char.rjust(tokens, width)
-        indent = " " * (t * half) if spec.alignment == "centered" else ""
-        lines.append(indent + " ".join(tokens.tolist()))
-    return "\n".join(lines)
+    for t, (a, b) in enumerate(pairwise(starts.tolist())):
+        row = index[a:b] if matched is None else np.where(matched[a:b], filled, index[a:b])
+        indent = b" " * (t * half) if spec.alignment == "centered" else b""
+        lines.append(indent + tokens.take(row).tobytes()[:-1])  # drop the last token's space
+    text = b"\n".join(lines)
+    del lines  # the text alone, not the lines too, while it decodes
+    return text.decode("ascii")
+
+
+def _tokens(keys: np.ndarray, width: int) -> np.ndarray:
+    """Text tokens, one ``width + 1``-byte element for each key and one more.
+
+    Token k is ``keys[k]`` right-justified in ``width`` bytes, then a space
+    (a key of more digits keeps its last ``width`` ones); the extra last
+    token is :data:`FILLED_GLYPH`'s.
+    """
+    tokens = np.full((keys.size + 1, width + 1), ord(" "), dtype=np.uint8)
+    tokens[-1, width - 1] = ord(FILLED_GLYPH)
+    rest = keys.astype(CELL_DTYPE)
+    for col in range(width - 1, -1, -1):  # units first; a leading zero stays a space
+        digits = (rest % 10).astype(np.uint8) + ord("0")
+        tokens[:-1, col] = digits if col == width - 1 else np.where(rest > 0, digits, ord(" "))
+        rest //= 10
+    return tokens.view(f"V{width + 1}").ravel()
 
 
 # -------------------------------------------------------------- layout
@@ -225,24 +254,56 @@ def _pbm(panels: list[Panel], spec: RenderSpec) -> bytes:
     return out.tobytes()
 
 
+# A gray's plain-PGM slot: a separator, its 1 to 3 digits and NUL padding, as
+# one uint32; _PGM_WIDTH counts the bytes of a slot that are written.
+_PGM_SLOTS = np.frombuffer(b"".join(f" {g}".encode().ljust(4, b"\0") for g in range(256)), dtype=np.uint32)
+_PGM_WIDTH = np.array([len(f" {g}") for g in range(256)], dtype=np.uint8)
+# pixels a block of whole rows, or one row: its temporaries stay near 0.5 MB each,
+# and a row of the canvas budget at 4 bytes a pixel keeps its offsets within int32
+_PGM_BLOCK = 1 << 17
+
+
 def _pgm(panels: list[Panel], spec: RenderSpec) -> bytes:
-    """Plain portable graymap with maxval 255."""
+    """Plain portable graymap with maxval 255.
+
+    Each pixel row is filled greedily: a line takes tokens while it stays
+    within ``_PNM_LINE`` bytes. The pixel rows are written in blocks of
+    about ``_PGM_BLOCK`` pixels, each by table lookups alone.
+    """
     canvas = _raster(panels, spec)
     h, w = canvas.shape
-    lines = [f"P2\n{w} {h}\n255"]
-    for pixel_row in canvas:
-        # greedy fill: each line breaks at its last space within the cap
-        text, start = " ".join(map(str, pixel_row.tolist())), 0
-        while len(text) - start > _PNM_LINE:
-            cut = text.rfind(" ", start, start + _PNM_LINE + 1)
-            lines.append(text[start:cut])
-            start = cut + 1
-        lines.append(text[start:])
-    return ("\n".join(lines) + "\n").encode("ascii")
+    step = max(1, _PGM_BLOCK // w)
+    parts = [f"P2\n{w} {h}\n255".encode("ascii")]
+    parts += [_pgm_lines(canvas[y : y + step].ravel(), w) for y in range(0, h, step)]
+    parts.append(b"\n")
+    return b"".join(parts)
+
+
+def _pgm_lines(pixels: np.ndarray, w: int) -> bytes:
+    """The lines of whole pixel rows, ``w`` pixels each, every line led by its newline."""
+    slots = _PGM_SLOTS.take(pixels)
+    seps = slots.view(np.uint8)[::4]  # each slot's first byte: a space until a line starts there
+    before = np.zeros(pixels.size + 1, dtype=np.int32)  # bytes ahead of each token, separators included
+    np.cumsum(_PGM_WIDTH.take(pixels), dtype=np.int32, out=before[1:])
+    # a line from token s takes every token that ends within _PNM_LINE bytes of
+    # s's separator; one search finds the next line of every unfinished row
+    start = np.arange(0, pixels.size, w)
+    stop = start + w
+    while start.size:
+        seps[start] = ord("\n")
+        start = before[1:].searchsorted(before[start] + _PNM_LINE + 1, side="right")
+        live = start < stop
+        start, stop = start[live], stop[live]
+    body = slots.view(np.uint8)
+    return body[body != 0].tobytes()
 
 
 def _svg(panels: list[Panel], spec: RenderSpec) -> str:
-    """SVG 1.1 document with one square per cell, row-major, exact coordinates."""
+    """SVG 1.1 document with one square per cell, row-major, exact coordinates.
+
+    A rect is three table lookups: a head by its x, its row's middle and a
+    tail by its paint. A row of rects is one join over the three, interleaved.
+    """
     cp = spec.cell_px
     w, h, rows = _layout(panels, spec, ink=INK)
     edge = f' stroke="{GRID_COLOR}" stroke-width="1"' if cp >= 6 else ""
@@ -250,23 +311,36 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     # the budget is the largest plain PGM the raster budget allows, "255 " a pixel
     rect = f'<rect x="{w}.5" y="{h}" width="{cp}" height="{cp}" fill="#rrggbb"{edge}/>\n'
     TooLarge.check(sum(c.size for c, *_ in panels) * len(rect), 4 * MAX_CANVAS_PIXELS, "SVG bytes")
-    fills = {g: f"#{g:02x}{g:02x}{g:02x}" for g in range(256)}
-    fills[INK] = spec.highlight_color
+    # every x in half pixels is j * cp, and a row's rects step j by 2: heads[j % 2][j // 2]
+    # is the head at j, and each parity's table is made when a row first needs it
+    heads = {}
+    # a tail per gray level, then the highlight's, so a paint of INK takes the last
+    fills = [f"#{g:02x}{g:02x}{g:02x}" for g in range(256)] + [spec.highlight_color]
+    tails = np.array([f'" fill="{fill}"{edge}/>\n' for fill in fills], dtype=object)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}" '
-        'shape-rendering="crispEdges">'
+        'shape-rendering="crispEdges">\n'
     ]
+    rects = np.empty(3 * _SVG_JOIN, dtype=object)
     for y, xp, xr, paints in rows:
-        x0, half = divmod(xp + xr, 2)
-        frac = ".5" if half else ""
-        parts.append("\n".join(  # one string per row, not per rect: half the peak memory
-            f'<rect x="{x0 + i * cp}{frac}" y="{y}" width="{cp}" height="{cp}" '
-            f'fill="{fills[paint]}"{edge}/>'
-            for i, paint in enumerate(paints.tolist())
-        ))
+        m, parity = divmod((xp + xr) // cp, 2)
+        if parity not in heads:
+            heads[parity] = np.array(
+                [f'<rect x="{x // 2}{".5" if x % 2 else ""}" y="' for x in range(parity * cp, 2 * w + 1, 2 * cp)],
+                dtype=object,
+            )
+        mid = f'{y}" width="{cp}" height="{cp}'
+        for i in range(0, paints.size, _SVG_JOIN):  # one string a row, not a rect: half the peak memory
+            k = min(_SVG_JOIN, paints.size - i)
+            row = rects[: 3 * k]
+            row[0::3] = heads[parity][m + i : m + i + k]
+            row[1::3] = mid
+            row[2::3] = tails[paints[i : i + k]]
+            parts.append("".join(row.tolist()))
+    del heads, rects  # before the document is joined: its parts and itself are the peak
     parts.append("</svg>")
-    return "\n".join(parts)
+    return "".join(parts)
 
 
 _SERIALIZERS = {"pbm": _pbm, "pgm": _pgm, "svg": _svg}

@@ -304,6 +304,23 @@ def test_pgm_peak_memory_stays_near_the_document():
     assert peak < 4.13 * len(doc)
 
 
+def test_pgm_holds_no_int64_per_pixel_of_the_canvas():
+    # a 2000 x 2000 canvas of gray 0: "0 " a pixel, so 8 B a pixel is twice the
+    # document; the writer may hold the document twice, the uint8 canvas and
+    # small blocks, but not an int64 per pixel of the whole canvas on top
+    d = eca_evolve(np.ones(1000, dtype=np.uint8), 255, 999)
+    spec = RenderSpec(format="pgm", cell_px=2)
+    pixels = (1000 * 2) ** 2
+    tracemalloc.start()
+    try:
+        doc = render_eca(d, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.startswith(b"P2\n2000 2000\n255\n0 0 ")
+    assert peak < 8 * pixels
+
+
 # --------------------------------------------------------------- svg
 
 
