@@ -101,7 +101,9 @@ def _ascii_by_cell(p, mask, spec: RenderSpec) -> str:
 @example([MAX_CELL, 0, 7], 0, 1)
 @example([2**16 - 1, 3, 2**16 - 2], 1, 1)  # the largest maximum indexed by value
 @example([2**16, 3, 2**16 - 1], 1, 1)  # the smallest maximum indexed through np.unique
-@example([MAX_CELL, 7, MAX_CELL, 0], 0, 2)  # full range, masked: a matched value wider than the printed ones
+@example([MAX_CELL, 7, MAX_CELL, 0], 0, 2)  # full range, masked
+@example([MAX_CELL, MAX_CELL], 0, 1)  # matched values wider than every printed one, by np.unique
+@example([60000, 60000], 0, 1)  # and by value
 @settings(max_examples=150, deadline=None)
 def test_ascii_matches_a_per_cell_reference(values, start, k):
     p = evolve(values)
