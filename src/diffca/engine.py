@@ -115,42 +115,46 @@ class Triangle:
     ``rows[0]`` is generation 0 and ``rows[t]`` has ``base_width - t``
     cells. The rows lie back to back in one read-only array (packed
     triangular storage, like LAPACK's ``TP`` format) and ``rows`` are
-    views into it. ``Triangle(rows)`` packs loose rows with one copy.
+    views into it. Every cell has one unsigned integer dtype (bool for a
+    ``HighlightMask``). ``Triangle(rows)`` packs loose rows with one copy.
     """
 
-    _dtype: type = CELL_DTYPE  # of every cell; a HighlightMask holds bools
+    _kind = "u"  # numpy dtype kind of every cell: unsigned; a HighlightMask's is "b"
 
     def __init__(self, rows: Sequence[np.ndarray]) -> None:
         sizes = np.fromiter(map(np.size, rows), dtype=np.intp)
         if not sizes.size or (sizes != sizes[0] - np.arange(sizes.size)).any():
             raise ValueError(f"a triangle has rows of n, n - 1, ... cells, got {sizes.tolist()}")
+        if len(dtypes := {np.asarray(r).dtype for r in rows}) > 1:  # concatenate would widen them
+            raise ValueError(f"a triangle's rows share one dtype, got {sorted(map(str, dtypes))}")
         self._hold(np.concatenate(rows), np.append(0, np.cumsum(sizes)))
 
     def _hold(self, cells: np.ndarray, starts: np.ndarray) -> Triangle:
         """Keep ``cells`` read-only and without a copy; row t is ``cells[starts[t]:starts[t + 1]]``."""
-        if cells.dtype != self._dtype:
-            raise ValueError(f"{type(self).__name__} rows are {np.dtype(self._dtype)}, got {cells.dtype}")
+        if cells.dtype.kind != self._kind:
+            kind = "unsigned integers" if self._kind == "u" else "bool"
+            raise ValueError(f"{type(self).__name__} rows are {kind}, got {cells.dtype}")
         cells.setflags(write=False)
         starts.setflags(write=False)
         self._cells, self._starts = cells, starts
         return self
 
-    @classmethod
-    def _buffer(cls, size: int) -> np.ndarray:
-        """An uninitialised cell array; from 1 MiB on, in a memory map of its own.
+    @staticmethod
+    def _buffer(size: int, dtype: np.dtype | type) -> np.ndarray:
+        """An uninitialised array of ``size`` cells; from 1 MiB on, in a memory map of its own.
 
         Freeing a map returns its pages at once, while malloc's heap keeps
         freed buffers of a few MiB resident and grows with each new size.
         Smaller ones stay on the heap: a map takes whole pages (mapping them too
         added 0.5-1 MB to the benchmark's peak RSS) and one of a process's ~65k maps.
         """
-        nbytes = size * np.dtype(cls._dtype).itemsize
+        nbytes = size * np.dtype(dtype).itemsize
         if nbytes < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):  # small, or not Linux
-            return np.empty(size, cls._dtype)
+            return np.empty(size, dtype)
         m = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
         with contextlib.suppress(OSError):  # a kernel without huge pages refuses the advice
             m.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for large arrays: fewer page faults
-        return np.frombuffer(m, cls._dtype, count=size)
+        return np.frombuffer(m, dtype, count=size)
 
     @property
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,9 +200,11 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     """Evolve ``input`` down to a single cell (or for ``max_generations`` steps).
 
     A row of n cells yields n rows; a single-cell input is already complete
-    and comes back as a one-row pyramid. Raises :class:`TooLarge`, before
-    computing any row, when the pyramid would hold more than
-    :data:`MAX_PYRAMID_CELLS` cells.
+    and comes back as a one-row pyramid. The pyramid's cells have the
+    narrowest unsigned dtype that holds the input's maximum (uint8 for
+    digits): no generation outgrows it, since |a - b| <= max(a, b).
+    Raises :class:`TooLarge`, before computing any row, when the pyramid
+    would hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
     row = as_row(input)
     n = row.size
@@ -213,9 +219,10 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
         steps = min(steps, max_generations)
     size = (steps + 1) * (2 * n - steps) // 2  # rows of n, n-1, ..., n-steps cells
     TooLarge.check(size, MAX_PYRAMID_CELLS, "pyramid cells")
-    cells = Pyramid._buffer(size)
+    dtype = np.min_scalar_type(int(row.max()))
+    cells = Pyramid._buffer(size, dtype)
     cells[:n] = row  # generation 0 must not alias caller memory
-    scratch = np.empty(n - 1, CELL_DTYPE)
+    scratch = np.empty(n - 1, dtype)
     lo = 0
     for w in range(n, n - steps, -1):  # row t is cells[lo:lo + w]; row t + 1 follows it
         a, b, out = cells[lo : lo + w - 1], cells[lo + 1 : lo + w], cells[lo + w : lo + 2 * w - 1]

@@ -19,7 +19,7 @@ __all__ = ["HighlightMask", "highlight_pyramid", "match_row"]
 class HighlightMask(Triangle):
     """Boolean lattice congruent to a pyramid: True marks a matched cell."""
 
-    _dtype = np.bool_
+    _kind = "b"
 
     def count(self) -> int:
         """Total number of highlighted cells."""
@@ -30,15 +30,17 @@ def _cover(cells: np.ndarray, s: np.ndarray, starts: np.ndarray, out: np.ndarray
     """Mark in ``out`` the cells covered by an occurrence of ``s``, over rows packed back to back.
 
     Row r is ``cells[starts[r]:starts[r + 1]]``, one cell shorter than row r - 1. No occurrence
-    crosses a row end, so only the leading rows of ``s.size`` cells or more can hold one.
+    crosses a row end, so only the leading rows of ``s.size`` cells or more can hold one, and
+    none holds a value past the cells' dtype. ``s`` is cast to that dtype, so no compare widens.
     """
     k = s.size
-    if k == 1:
-        return np.equal(cells, s[0], out=out)
     rows = min(starts.size - 1, int(starts[1]) - k + 1)
-    if rows < 1:
+    if rows < 1 or int(s.max()) > np.iinfo(cells.dtype).max:
         out.fill(False)
         return out
+    s = s.astype(cells.dtype)
+    if k == 1:
+        return np.equal(cells, s[0], out=out)
     m = int(starts[rows]) - k + 1  # possible starts, all in those rows
     hits = cells[:m] == s[0]
     for j in range(1, k):
@@ -64,5 +66,5 @@ def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
 def highlight_pyramid(p: Pyramid, pattern: RowLike) -> HighlightMask:
     """Match every pyramid row; the mask shape mirrors the pyramid."""
     cells, starts = p.packed
-    hits = _cover(cells, as_row(pattern), starts, HighlightMask._buffer(cells.size))
+    hits = _cover(cells, as_row(pattern), starts, HighlightMask._buffer(cells.size, np.bool_))
     return HighlightMask.__new__(HighlightMask)._hold(hits, starts)

@@ -52,6 +52,7 @@ _PNM_LINE = 70  # plain-format line length cap
 MAX_CANVAS_PIXELS = 8192 * 8192
 _ASCII_BY_VALUE = 1 << 16  # ascii tokens are tabulated by value below this maximum
 _SVG_JOIN = 1 << 12  # rects a string holds at most: a wide row's temporaries stay small
+_SHADE_BLOCK = 1 << 17  # cells a block of shaded rows holds at most: 1 MB a temporary at uint64
 
 # A paint is INK (highlighted, or 1 in a diagram) or a gray level from 0
 # (black) to 255 (white); BLANK, the unpainted cell, is white.
@@ -131,7 +132,8 @@ def render_ascii(
             keys, index = np.unique(cells, return_inverse=True)
             tokens = _tokens(keys, width)
     half = (width + 2) // 2  # half the cell pitch (token + one space), rounded up
-    filled = len(tokens) - 1
+    # a typed index: np.where widens narrow cells to hold it, where 255 + 1 would wrap in uint8
+    filled = np.min_scalar_type(len(tokens) - 1).type(len(tokens) - 1)
     lines = []
     for t, (a, b) in enumerate(pairwise(starts.tolist())):
         row = index[a:b] if matched is None else np.where(matched[a:b], filled, index[a:b])
@@ -176,14 +178,26 @@ def _paints(panel: Panel, ink: int) -> np.ndarray:
 
     A row shades as ``255 * (m - v) // m``, black at its maximum m, exact over
     all of uint64: where ``255 * m`` would overflow, it runs on Python integers.
+    Shading runs over blocks of whole rows, so no temporary grows with the panel.
     """
     cells, starts, inked, shade = panel
     paints = np.full(cells.size, BLANK, dtype=np.int16)
-    if shade:  # row by row: a panel-wide uint64 or object temporary would be 8+ bytes a cell
-        for a, b in pairwise(starts.tolist()):
-            row = cells[a:b]
-            if m := int(row.max()):
-                paints[a:b] = 255 * (m - row.astype(object if m > MAX_CELL // 255 else CELL_DTYPE)) // m
+    if shade:
+        tops = np.maximum.reduceat(cells, starts[:-1])  # each row's maximum
+        work = np.min_scalar_type(min(255 * int(tops.max()), MAX_CELL))  # holds 255 * m
+        s = starts.tolist()
+        step = max(1, _SHADE_BLOCK // s[1])  # whole rows a block: none is longer than the first
+        for r in range(0, len(s) - 1, step):
+            a, b = s[r], s[min(r + step, len(s) - 1)]
+            # an all-zero row shades as 255 * (1 - 0) // 1, blank
+            m = np.repeat(np.maximum(tops[r : r + step], 1).astype(work), np.diff(starts[r : r + step + 1]))
+            grays = m - cells[a:b]
+            grays *= 255
+            grays //= m
+            paints[a:b] = grays
+        for t in np.flatnonzero(tops > MAX_CELL // 255).tolist():  # these rows wrapped above
+            m = int(tops[t])
+            paints[s[t] : s[t + 1]] = 255 * (m - cells[s[t] : s[t + 1]].astype(object)) // m
     if inked is not None:
         paints[inked] = ink
     return paints

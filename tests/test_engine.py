@@ -182,15 +182,22 @@ def test_pyramid_rows_are_read_only():
         p.rows[0][0] = 9
 
 
-def test_pyramids_pack_loose_uint64_rows_only():
+def test_pyramids_pack_loose_unsigned_rows_only():
     p = Pyramid((as_row([3, 1]), as_row([2])))
     assert p.packed[0].tolist() == [3, 1, 2] and p.packed[1].tolist() == [0, 2, 3]
+    narrow = Pyramid((np.array([3, 1], dtype=np.uint8), np.array([2], dtype=np.uint8)))
+    assert narrow.packed[0].dtype == np.uint8 and narrow.to_lists() == [[3, 1], [2]]
     with pytest.raises(ValueError):
         Pyramid((np.array([3, 1]), np.array([2])))  # int64
     with pytest.raises(ValueError):
         Pyramid((as_row([3, 1]), np.array([2])))  # would pack as float64
     with pytest.raises(ValueError):
         Pyramid((as_row([3, 1]), as_row([2, 2])))
+    # mixed unsigned rows: np.concatenate would silently widen the uint8 row to uint64
+    with pytest.raises(ValueError, match="share one dtype"):
+        Pyramid((np.array([3, 1], dtype=np.uint8), as_row([2])))
+    with pytest.raises(ValueError, match="share one dtype"):
+        Pyramid((as_row([3, 1]), np.array([2], dtype=np.uint8)))
 
 
 def test_impulse_pyramid_is_binomial_parity_everywhere():
@@ -307,3 +314,36 @@ def test_evolve_matches_repeated_steps(values, cap):
     assert all(np.array_equal(a, b) for a, b in zip(loose, p))
     with pytest.raises(ValueError):
         loose[-1][0] = 0
+
+
+# maxima at each edge of an unsigned dtype: a pyramid's cells take the narrowest that holds it
+_DTYPE_EDGES = (0, 255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**63, MAX_CELL)
+
+
+@st.composite
+def _rows_with_an_edge_maximum(draw):
+    top = draw(st.sampled_from(_DTYPE_EDGES))
+    values = draw(st.lists(st.integers(0, top), max_size=40))
+    values.insert(draw(st.integers(0, len(values))), top)
+    return values
+
+
+def _uint64_evolution(values: list[int]) -> list[np.ndarray]:
+    """Reference rows in uint64, each difference taken as the larger operand minus the smaller."""
+    rows = [np.array(values, dtype=np.uint64)]
+    while rows[-1].size > 1:
+        a, b = rows[-1][:-1], rows[-1][1:]
+        rows.append(np.where(a > b, a - b, b - a))
+    return rows
+
+
+@given(_rows_with_an_edge_maximum())
+@settings(max_examples=300, deadline=None)
+def test_evolve_stores_the_narrowest_dtype_that_holds_the_input(values):
+    p = evolve(values)
+    assert p.packed[0].dtype == np.min_scalar_type(max(values))
+    expected = _uint64_evolution(values)
+    assert len(p) == len(expected)
+    for got, want in zip(p, expected):
+        assert got.dtype == p.packed[0].dtype
+        assert got.astype(np.uint64).tolist() == want.tolist()

@@ -162,15 +162,37 @@ def test_patterns_longer_than_a_row_skip_the_rows_that_cannot_hold_them():
 
 
 def test_highlight_over_a_mapped_buffer_matches_every_row():
-    p = evolve(np.random.default_rng(8).integers(0, 3, 600, dtype=np.uint64))
+    n = 1500  # uint8 cells: from a width of 1448 on, the pyramid passes 1 MiB
+    p = evolve(np.random.default_rng(8).integers(0, 3, n, dtype=np.uint64))
     cells = p.packed[0]
-    assert cells.nbytes > 1 << 20  # big enough for a buffer of its own
+    assert cells.dtype == np.uint8 and cells.nbytes > 1 << 20  # big enough for a buffer of its own
     for k in (1, 2, 3, 5):
-        for start in (0, 598, 1197, cells.size - k):  # the later ones cross a row end
+        for start in (0, n - 2, 2 * n - 3, cells.size - k):  # the later ones cross a row end
             pattern = cells[start : start + k].tolist()
             mask = highlight_pyramid(p, pattern)
             for row, hits in zip(p, mask):
                 assert np.array_equal(hits, match_row(row, pattern))
+
+
+def test_pattern_values_past_the_cells_dtype_match_nowhere():
+    row = np.random.default_rng(10).integers(0, 10, 2000, dtype=np.uint64)
+    row[6:9] = 5, 255, 5  # the largest uint8 value still matches; row 1 holds at most 250
+    p = evolve(row)
+    assert p.packed[0].dtype == np.uint8
+    assert highlight_pyramid(p, [255]).count() == 1
+    for pattern in ([256], [row[0], 2**64 - 1], [70_000, 1, 2]):
+        tracemalloc.start()
+        try:
+            mask = highlight_pyramid(p, pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        hits = mask.packed[0]
+        assert mask.count() == 0
+        # the mask and the cast pattern alone: the cells are never compared, widened or not
+        assert peak < (hits.nbytes if hits.flags.owndata else 0) + 8 * 300
+        for cells, hit in zip(p, mask):
+            assert np.array_equal(hit, match_row(cells, pattern))
 
 
 def test_congruence_notices_mismatched_pyramids():

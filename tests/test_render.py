@@ -100,6 +100,7 @@ def _ascii_by_cell(p, mask, spec: RenderSpec) -> str:
 )
 @example([MAX_CELL, 0, 7], 0, 1)
 @example([2**16 - 1, 3, 2**16 - 2], 1, 1)  # the largest maximum indexed by value
+@example([255, 3, 254], 1, 1)  # uint8 cells, whose '#' index 256 needs a wider gather
 @example([2**16, 3, 2**16 - 1], 1, 1)  # the smallest maximum indexed through np.unique
 @example([MAX_CELL, 7, MAX_CELL, 0], 0, 2)  # full range, masked
 @example([MAX_CELL, MAX_CELL], 0, 1)  # matched values wider than every printed one, by np.unique
@@ -245,6 +246,19 @@ def test_gray_shading_is_exact_over_the_full_cell_range(values, cap):
     doc = render_svg(p, spec=RenderSpec(format="svg", palette="grayscale"))
     fills = [int(g, 16) for g in re.findall(r'fill="#([0-9a-f]{2})', doc)]
     assert fills == [g for row in expected for g in row]
+
+
+@pytest.mark.parametrize("big", [0, 2**62])
+def test_gray_shading_is_exact_across_blocks_of_rows(big):
+    # 180 300 cells shade in three blocks of rows; with every other cell raised by 2**62,
+    # 255 * (m - v) overflows uint64 in row 0, and rows 2 on hold digits again
+    digits = np.random.default_rng(11).integers(0, 10, 600).tolist()
+    values = [big * (i % 2) + v for i, v in enumerate(digits)]
+    p = evolve(values)
+    expected = _python_grays(values, len(p))
+    fields = render_pgm(p, RenderSpec(format="pgm", alignment="left")).split()
+    pixels = np.array(fields[4:]).astype(np.int64).reshape(len(p), len(values))
+    assert [pixels[t, : len(row)].tolist() for t, row in enumerate(expected)] == expected
 
 
 def _pgm_by_row(gray_rows: list[list[int]], cp: int, centered: bool) -> bytes:
