@@ -16,6 +16,7 @@ stderr names the failing component), 2 for invalid flag combinations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -224,8 +225,14 @@ _COMPONENTS: tuple[tuple[type[Exception], str], ...] = (
 )
 
 
+# One parser serves every main call in a process, built on the first call
+# rather than at import. Reuse is safe: parse_args makes a new Namespace on
+# every call, and no action in the tree has a mutable default to leak into it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except tuple(exc for exc, _ in _COMPONENTS) as err:

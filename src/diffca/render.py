@@ -275,6 +275,8 @@ _PGM_WIDTH = np.array([len(f" {g}") for g in range(256)], dtype=np.uint8)
 # pixels a block of whole rows, or one row: its temporaries stay near 0.5 MB each,
 # and a row of the canvas budget at 4 bytes a pixel keeps its offsets within int32
 _PGM_BLOCK = 1 << 17
+# an SVG fill per gray level, in paint order
+_SVG_GRAYS = tuple(f"#{g:02x}{g:02x}{g:02x}" for g in range(256))
 
 
 def _pgm(panels: list[Panel], spec: RenderSpec) -> bytes:
@@ -329,7 +331,7 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     # is the head at j, and each parity's table is made when a row first needs it
     heads = {}
     # a tail per gray level, then the highlight's, so a paint of INK takes the last
-    fills = [f"#{g:02x}{g:02x}{g:02x}" for g in range(256)] + [spec.highlight_color]
+    fills = (*_SVG_GRAYS, spec.highlight_color)
     tails = np.array([f'" fill="{fill}"{edge}/>\n' for fill in fills], dtype=object)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '

@@ -1,13 +1,20 @@
 """Command-line behavior: happy paths, exit codes, artifact stability."""
 
+import argparse
+import contextlib
 import hashlib
+import io
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffca import render
-from diffca.cli import main
+from diffca import cli, render
+from diffca.cli import build_parser, main
 from diffca.eca import eca_evolve, impulse_row
 from diffca.engine import evolve
 from diffca.fixtures import FIXTURE_IDS, load_fixture
@@ -316,9 +323,156 @@ TRANSCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(TRANSCRIPTS))
-def test_cli_transcripts_are_pinned(argv, capsysbinary):
+def transcript(argv, capsysbinary):
     code = run_cli(*argv.split())
     out, err = capsysbinary.readouterr()
-    digest = hashlib.sha256(b"\0".join([out, err, str(code).encode()])).hexdigest()
-    assert digest == TRANSCRIPTS[argv]
+    return hashlib.sha256(b"\0".join([out, err, str(code).encode()])).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(TRANSCRIPTS))
+def test_cli_transcripts_are_pinned(argv, capsysbinary):
+    assert transcript(argv, capsysbinary) == TRANSCRIPTS[argv]
+
+
+# -------------------------------------------------------- parser reuse
+
+
+def test_one_parser_serves_every_call_in_a_process(capsysbinary):
+    for argv in TRANSCRIPTS:
+        assert transcript(argv, capsysbinary) == TRANSCRIPTS[argv], argv
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--input", "1", "--format", "bmp")
+    assert exc.value.code == 2
+    assert capsysbinary.readouterr().err.startswith(b"usage: diffca run")
+    assert run_cli("run", "--input", "1", "--format", "pbm") == 2
+    assert capsysbinary.readouterr().err.startswith(b"usage error: ")
+    for argv in reversed(TRANSCRIPTS):
+        assert transcript(argv, capsysbinary) == TRANSCRIPTS[argv], argv
+
+
+def test_a_later_call_builds_no_parser(monkeypatch):
+    assert run_cli("fixtures") == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli("run", "--input", "2-0-1-4") == 0
+    assert built == []
+    build_parser()
+    assert built  # the count sees a build
+
+
+def test_build_parser_returns_a_fresh_parser():
+    parser = build_parser()
+    assert parser is not build_parser()
+    parser.add_argument("--extra")  # a caller's change reaches no other parser
+    assert parser.parse_args(["--extra", "1", "fixtures"]).extra == "1"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--extra", "1", "fixtures")
+    assert exc.value.code == 2
+
+
+def parser_tree(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action.choices, dict):  # a subcommand's parser, by name
+            for sub in action.choices.values():
+                yield from parser_tree(sub)
+
+
+def test_no_default_in_the_parser_tree_is_mutable():
+    # parse_args puts each default into its Namespace as it is: a mutable one
+    # (an action="append" list, say) would carry values from call to call
+    parsers = list(parser_tree(build_parser()))
+    assert len(parsers) == 6
+    for parser in parsers:
+        defaults = [action.default for action in parser._actions] + list(parser._defaults.values())
+        assert not any(isinstance(d, (list, dict, set)) for d in defaults), parser.prog
+
+
+# ------------------------------------------------ contract over the grammar
+
+SUBCOMMANDS = next(a.choices for a in build_parser()._actions if isinstance(a.choices, dict))
+ROWS = st.lists(st.sampled_from([*range(10), 2**64 - 1]), min_size=1, max_size=12).map(
+    lambda terms: "-".join(map(str, terms)))
+EXPRESSIONS = ROWS | ROWS.map("[{}]".format) | st.sampled_from(
+    ["", "[]", "()", "[1-2", "-1", "1--2", "1-", "2-x", str(2**64), "0" * 30 + "1", "9" * 5000])
+# small enough that a figure stays within a few MB; the hostile values must fail early
+INTS = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 2**64, 10**12])
+# "{tmp}" is a directory holding row.txt, a good expression, and bad.txt, a bad one
+VALUES = {
+    "input": EXPRESSIONS,
+    "pattern": EXPRESSIONS,
+    "initial": EXPRESSIONS,
+    "fixture": st.sampled_from([*FIXTURE_IDS, "nope", ""]),
+    "file": st.sampled_from(["{tmp}", "{tmp}/absent.txt", "{tmp}/row.txt", "{tmp}/bad.txt"]),
+    "out": st.sampled_from(["{tmp}", "{tmp}/absent/out", "{tmp}/out"]),
+    "rule": st.sampled_from([0, 30, 90, 110, 150, 182, 255, -1, 256, 2**64]),
+}
+
+
+def values(action):
+    if action.choices:
+        return st.sampled_from([*action.choices, "bmp"])
+    return (INTS if action.type is int else VALUES[action.dest]).map(str)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and its flags, each present or absent, in any order."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    flags = []
+    for action in SUBCOMMANDS[name]._actions:
+        odds = 1 if isinstance(action, argparse._HelpAction) else 18 if action.required else 10
+        if draw(st.integers(0, 19)) < odds:
+            flag = [draw(st.sampled_from(action.option_strings))]
+            flags.append(flag if action.nargs == 0 else [*flag, draw(values(action))])
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(flags)))]
+
+
+def outcome(parse, argv):
+    """What a parser makes of ``argv``: its Namespace, or the status it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.fixture(scope="module")
+def places(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "row.txt").write_text("2-0-1-4\n", encoding="utf-8")
+    (tmp / "bad.txt").write_text("[1-x]\n", encoding="utf-8")
+    return str(tmp)
+
+
+@given(argvs())
+@settings(max_examples=200, deadline=None)
+def test_every_argv_in_the_grammar_keeps_the_exit_contract(places, argv):
+    argv = [arg.replace("{tmp}", places) for arg in argv]
+    out, err = io.BytesIO(), io.BytesIO()
+    stdout, stderr = io.TextIOWrapper(out, encoding="utf-8"), io.TextIOWrapper(err, encoding="utf-8")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        stdout.flush()
+        stderr.flush()
+        text = err.getvalue().decode()
+        assert b"Traceback" not in out.getvalue()
+    assert "Traceback" not in text
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert text == ""
+    elif code == 1:
+        assert re.match(r"error: \w[\w ]*: ", text), text
+    else:
+        assert text.startswith(("usage error: ", "usage: diffca")), text
+    # the one parser main keeps still parses as a new one does
+    assert outcome(cli._parser().parse_args, argv) == outcome(build_parser().parse_args, argv)

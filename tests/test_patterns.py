@@ -54,6 +54,25 @@ def test_match_row_agrees_with_the_window_scan():
         assert got.tolist() == naive_flags(row, pattern), (row, pattern)
 
 
+def test_match_row_scans_a_narrow_row_in_its_own_dtype():
+    rng = np.random.default_rng(11)
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        row = rng.integers(0, 4, size=40).astype(dtype)
+        for pattern in ([3], [1, 2], [0, 1, 2], [2**64 - 1], [1, 70_000]):
+            got = match_row(row, pattern)
+            assert got.tolist() == naive_flags(row.tolist(), pattern), (dtype, pattern)
+    row = rng.integers(0, 10, 1_000_000).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        hits = match_row(row, [3, 4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits.any()
+    # the 1 MB mask and one bool start flag a cell: the row is never widened to uint64
+    assert peak < 3_000_000
+
+
 def test_match_row_rejects_empty_operands():
     with pytest.raises(ValueError):
         match_row(as_row([1]), [])
