@@ -209,6 +209,21 @@ def test_pbm_lines_wrap_like_a_per_row_reference(n, cp):
         assert render_compare(d, p, mask, spec) == expected
 
 
+def test_pbm_peak_memory_stays_near_the_document():
+    # 2.99x is the peak of the writer that painted int16 cells onto a gray canvas
+    n = 1435
+    d = eca_evolve(impulse_row(n), 90, n - 1)
+    p = evolve(impulse_row(n))
+    mask = highlight_pyramid(p, [1])
+    tracemalloc.start()
+    try:
+        doc = render_compare(d, p, mask, RenderSpec(format="pbm"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.99 * len(doc)
+
+
 # --------------------------------------------------------------- pgm
 
 
