@@ -38,6 +38,14 @@ BOUNDARIES = ("zero", "periodic")
 _AGREEMENT_BLOCK = 1 << 16  # cone cells per pass of impulse_agreement: ~1.5 MB of index temporaries
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int through ``operator.index``; else a TypeError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} is an integer, got {value!r}") from None
+
+
 class OutOfRange(ValueError):
     """Rule number outside 0..255."""
 
@@ -57,10 +65,7 @@ class EcaRule:
     number: int
 
     def __post_init__(self) -> None:
-        try:
-            number = operator.index(self.number)
-        except TypeError:
-            raise TypeError(f"rule number is an integer, got {self.number!r}") from None
+        number = _integer(self.number, "rule number")
         if not 0 <= number <= 255:
             raise OutOfRange(f"rule numbers run 0..255, got {number}")
         object.__setattr__(self, "number", number)  # a plain int, whatever integer type came in
@@ -94,9 +99,10 @@ def _as_binary_row(row: RowLike) -> np.ndarray:
 
 def impulse_row(width: int, index: int | None = None) -> np.ndarray:
     """A row of zeros with a single 1 (centered unless ``index`` is given)."""
+    width = _integer(width, "width")
     if width < 1:
         raise ValueError("width is at least 1")
-    hot = width // 2 if index is None else index
+    hot = width // 2 if index is None else _integer(index, "index")
     if not 0 <= hot < width:
         raise ValueError(f"impulse index {hot} outside a width-{width} row")
     row = np.zeros(width, dtype=np.uint8)
@@ -175,10 +181,7 @@ def eca_evolve(
     Raises :class:`TooLarge`, before converting the row, when the diagram
     would hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
-    try:
-        generations = operator.index(generations)
-    except TypeError:
-        raise TypeError(f"generations is an integer, got {generations!r}") from None
+    generations = _integer(generations, "generations")
     if generations < 0:
         raise ValueError("generations is non-negative")
     periodic = _periodic(boundary)
@@ -200,10 +203,7 @@ def impulse_agreement(mask: HighlightMask, impulse_index: int) -> tuple[float, f
     where the mask equals that parity, and where it equals its negation.
     Either ratio at 1.0 certifies an exact structural reproduction.
     """
-    try:
-        j0 = operator.index(impulse_index)
-    except TypeError:
-        raise TypeError(f"impulse_index is an integer, got {impulse_index!r}") from None
+    j0 = _integer(impulse_index, "impulse_index")
     cells, starts = mask.packed
     n, h = mask.base_width, mask.height
     if not 0 <= j0 < n:

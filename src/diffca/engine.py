@@ -42,6 +42,14 @@ MAX_CELL = 2**64 - 1  # |a - b| <= max(a, b), so the input bound holds forever
 MAX_PYRAMID_CELLS = 50_000_000
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int through ``operator.index``; else a TypeError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} is an integer, got {value!r}") from None
+
+
 class RowTooShort(ValueError):
     """A difference step needs at least two cells to form one pair."""
 
@@ -210,10 +218,7 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     n = row.size
     steps = n - 1
     if max_generations is not None:
-        try:
-            max_generations = operator.index(max_generations)
-        except TypeError:
-            raise TypeError(f"max_generations is an integer, got {max_generations!r}") from None
+        max_generations = _integer(max_generations, "max_generations")
         if max_generations < 0:
             raise ValueError("max_generations is non-negative")
         steps = min(steps, max_generations)
@@ -248,7 +253,7 @@ def pascal_mod2(t: int, i: int) -> int:
     Independent oracle for impulse evolutions: a lone 1 in a sea of zeros
     propagates exactly as the parity of Pascal's triangle.
     """
-    t, i = int(t), int(i)
+    t, i = _integer(t, "t"), _integer(i, "i")
     if t < 0 or i < 0 or i > t:
         raise IndexOutOfRange(f"(t={t}, i={i}) lies outside the triangle")
     return 1 if (i & (t - i)) == 0 else 0

@@ -16,7 +16,7 @@ import operator
 import re
 from dataclasses import dataclass, replace
 from itertools import pairwise
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -83,11 +83,11 @@ class RenderSpec:
         for name, allowed in (("format", FORMATS), ("alignment", ALIGNMENTS), ("palette", PALETTES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} is one of {allowed}, got {getattr(self, name)!r}")
-        try:
-            cell_px = operator.index(self.cell_px)
+        try:  # stored as a plain int, whatever integer type came in
+            object.__setattr__(self, "cell_px", operator.index(self.cell_px))
         except TypeError:
             raise TypeError(f"cell_px is an integer, got {self.cell_px!r}") from None
-        if cell_px < 1:
+        if self.cell_px < 1:
             raise ValueError("cell_px is at least 1")
         if not re.fullmatch(r"#[0-9a-fA-F]{6}", self.highlight_color):
             raise ValueError(f"highlight_color is #rrggbb, got {self.highlight_color!r}")
@@ -203,15 +203,15 @@ def _paints(panel: Panel, ink: int) -> np.ndarray:
     return paints
 
 
-def _layout(panels: list[Panel], spec: RenderSpec, ink: int):
+def _layout(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.ndarray]):
     """Stack the panels one blank cell row apart, each centered on the widest.
 
     Returns the canvas width and height in pixels and an iterator over the
     placed rows ``(y, xp, xr, paints)``: ``y`` is the top pixel row, ``xp``
     the panel's offset in the canvas and ``xr`` the row's offset in its
     panel, both in half pixels. Rasters floor the two offsets one by one;
-    SVG writes their sum exactly. A panel's paints are made when the
-    iterator reaches it, after the callers' size checks.
+    SVG writes their sum exactly. A panel's paints, ``paint(panel)``, are
+    made when the iterator reaches it, after the callers' size checks.
     """
     cp = spec.cell_px
     w = max(int(starts[1]) for _, starts, _, _ in panels) * cp
@@ -220,7 +220,7 @@ def _layout(panels: list[Panel], spec: RenderSpec, ink: int):
     def placed() -> Iterator[tuple[int, int, int, np.ndarray]]:
         y = 0
         for panel in panels:
-            paints, s = _paints(panel, ink), panel[1].tolist()
+            paints, s = paint(panel), panel[1].tolist()
             pw = s[1] * cp
             for a, b in pairwise(s):
                 xr = pw - (b - a) * cp if spec.alignment == "centered" else 0
@@ -234,27 +234,26 @@ def _layout(panels: list[Panel], spec: RenderSpec, ink: int):
 # -------------------------------------------------------- serializers
 
 
-def _raster(panels: list[Panel], spec: RenderSpec) -> np.ndarray:
-    """The layout as a uint8 graymap: ink is black, unpainted pixels white."""
+def _raster(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.ndarray], blank: int) -> np.ndarray:
+    """The layout as a uint8 canvas of ``paint``'s bytes, ``blank`` where no cell lies."""
     cp = spec.cell_px
-    w, h, rows = _layout(panels, spec, ink=0)
+    w, h, rows = _layout(panels, spec, paint)
     TooLarge.check(w * h, MAX_CANVAS_PIXELS, f"pixels of a {w}x{h} canvas")
-    canvas = np.full((h, w), BLANK, dtype=np.uint8)
-    for y, xp, xr, grays in rows:
+    canvas = np.full((h, w), blank, dtype=np.uint8)
+    for y, xp, xr, paints in rows:
         x = xp // 2 + xr // 2
-        canvas[y : y + cp, x : x + grays.size * cp] = grays if cp == 1 else np.repeat(grays, cp)
+        canvas[y : y + cp, x : x + paints.size * cp] = paints if cp == 1 else np.repeat(paints, cp)
     return canvas
 
 
 def _pbm(panels: list[Panel], spec: RenderSpec) -> bytes:
-    """Plain portable bitmap: black pixels are 1, so its panels hold only ink and blank.
+    """Plain portable bitmap of the panels' ink bits: 1 (black) where inked, else 0.
 
-    Each pixel row is cut into lines of at most ``_PNM_LINE`` digits; all of
-    them are written into one byte buffer whose newlines are laid down first.
+    Pixel rows are cut into lines of at most ``_PNM_LINE`` digits in one byte buffer
+    whose newlines are laid down first; a bit becomes its digit as it is copied in.
     """
-    digits = np.equal(_raster(panels, spec), 0).view(np.uint8)
-    digits += ord("0")
-    h, w = digits.shape
+    bits = _raster(panels, spec, lambda panel: panel[2].view(np.uint8), blank=0)
+    h, w = bits.shape
     full, rest = divmod(w, _PNM_LINE)
     head = f"P1\n{w} {h}\n".encode("ascii")
     line = _PNM_LINE + 1
@@ -263,8 +262,9 @@ def _pbm(panels: list[Panel], spec: RenderSpec) -> bytes:
     out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     body = out[len(head) :].reshape(h, row_bytes)
     full_lines = body[:, : full * line].reshape(h, full, line)  # a view: only splits an axis
-    full_lines[:, :, :_PNM_LINE] = digits[:, : full * _PNM_LINE].reshape(h, full, _PNM_LINE)
-    body[:, full * line : full * line + rest] = digits[:, full * _PNM_LINE :]
+    np.add(bits[:, : full * _PNM_LINE].reshape(h, full, _PNM_LINE), ord("0"), out=full_lines[:, :, :_PNM_LINE])
+    np.add(bits[:, full * _PNM_LINE :], ord("0"), out=body[:, full * line : full * line + rest])
+    del bits  # the document and its bytes, not the canvas too, are the peak
     return out.tobytes()
 
 
@@ -286,7 +286,7 @@ def _pgm(panels: list[Panel], spec: RenderSpec) -> bytes:
     within ``_PNM_LINE`` bytes. The pixel rows are written in blocks of
     about ``_PGM_BLOCK`` pixels, each by table lookups alone.
     """
-    canvas = _raster(panels, spec)
+    canvas = _raster(panels, spec, lambda panel: _paints(panel, 0), BLANK)
     h, w = canvas.shape
     step = max(1, _PGM_BLOCK // w)
     parts = [f"P2\n{w} {h}\n255".encode("ascii")]
@@ -321,7 +321,7 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     tail by its paint. A row of rects is one join over the three, interleaved.
     """
     cp = spec.cell_px
-    w, h, rows = _layout(panels, spec, ink=INK)
+    w, h, rows = _layout(panels, spec, lambda panel: _paints(panel, INK))
     edge = f' stroke="{GRID_COLOR}" stroke-width="1"' if cp >= 6 else ""
     # no rect is longer than one at the canvas corner (every fill is #rrggbb);
     # the budget is the largest plain PGM the raster budget allows, "255 " a pixel

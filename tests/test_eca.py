@@ -142,6 +142,16 @@ def test_impulse_row_is_centered_by_default():
         impulse_row(5, index=5)
 
 
+def test_impulse_row_takes_integers_only():
+    # True is the integer 1, not a mask over the row; numpy integers are integers
+    assert impulse_row(5, True).tolist() == [0, 1, 0, 0, 0]
+    assert impulse_row(np.int64(3), np.uint8(0)).tolist() == [1, 0, 0]
+    with pytest.raises(TypeError, match="^index is an integer"):
+        impulse_row(5, 2.0)
+    with pytest.raises(TypeError, match="^width is an integer"):
+        impulse_row(5.0)
+
+
 # ---------------------------------------------------------- diagrams
 
 

@@ -53,6 +53,13 @@ def test_pascal_mod2_rejects_out_of_range(t, i):
         pascal_mod2(t, i)
 
 
+@pytest.mark.parametrize("t, i, name", [(2.7, 1, "t"), (3, 1.0, "i"), ("3", 1, "t")])
+def test_pascal_mod2_takes_integers_only(t, i, name):
+    with pytest.raises(TypeError, match=f"^{name} is an integer"):
+        pascal_mod2(t, i)
+    assert pascal_mod2(np.int64(4), True) == 0  # numpy integers and bools are integers
+
+
 # ------------------------------------------------------------- rows
 
 

@@ -172,10 +172,11 @@ def test_pbm_left_alignment_starts_every_band_at_zero():
     assert grid[2].tolist() == [False, False, False]
 
 
-def _pbm_by_row(panels, cp):
+def _pbm_by_row(panels, cp, centered=True):
     # plain PBM written pixel row by pixel row: the bool-row panels stack one
     # blank cell row apart, each centered on the widest, every row centered
-    # in its panel, and each pixel row breaks into lines of 70 digits
+    # in its panel (or flush with its left edge), and each pixel row breaks
+    # into lines of 70 digits
     width = max(len(rows[0]) for rows in panels) * cp
     pixel_rows = []
     for i, rows in enumerate(panels):
@@ -183,7 +184,7 @@ def _pbm_by_row(panels, cp):
             pixel_rows += [[False] * width] * cp
         pw = len(rows[0]) * cp
         for row in rows:
-            x = (width - pw) // 2 + (pw - len(row) * cp) // 2
+            x = (width - pw) // 2 + ((pw - len(row) * cp) // 2 if centered else 0)
             pixels = [False] * x + [bool(b) for b in row for _ in range(cp)]
             pixel_rows += [pixels + [False] * (width - len(pixels))] * cp
     lines = [f"P1\n{width} {len(pixel_rows)}"]
@@ -199,14 +200,15 @@ def test_pbm_lines_wrap_like_a_per_row_reference(n, cp):
     # canvas widths on, just under and just over multiples of the 70-digit line;
     # a capped pyramid's rows end short of one cell, beside a full-height diagram
     d = eca_evolve(impulse_row(n), 90, n - 1)
-    spec = RenderSpec(format="pbm", cell_px=cp)
     for cap in (None, 4):
         p = evolve([(i * i + i // 3) % 3 for i in range(n)], max_generations=cap)
         mask = highlight_pyramid(p, [1])
         mask_rows = [row.tolist() for row in mask]
-        assert render_pbm(mask, spec) == _pbm_by_row([mask_rows], cp)
-        expected = _pbm_by_row([[row.tolist() for row in d.rows], mask_rows], cp)
-        assert render_compare(d, p, mask, spec) == expected
+        for centered in (True, False):
+            spec = RenderSpec(format="pbm", cell_px=cp, alignment="centered" if centered else "left")
+            assert render_pbm(mask, spec) == _pbm_by_row([mask_rows], cp, centered)
+            expected = _pbm_by_row([[row.tolist() for row in d.rows], mask_rows], cp, centered)
+            assert render_compare(d, p, mask, spec) == expected
 
 
 def test_pbm_peak_memory_stays_near_the_document():
@@ -575,6 +577,14 @@ def test_render_spec_names_a_cell_px_that_is_not_an_integer(cell_px):
     assert render_svg(p, spec=RenderSpec(format="svg", cell_px=np.int64(2))) == (
         render_svg(p, spec=RenderSpec(format="svg", cell_px=2))
     )
+
+
+@pytest.mark.parametrize("cell_px", [True, np.int64(2), np.uint8(3)])
+def test_render_spec_keeps_cell_px_as_a_plain_int(cell_px):
+    spec = RenderSpec(format="svg", cell_px=cell_px)
+    assert type(spec.cell_px) is int and spec.cell_px == int(cell_px)
+    p = evolve([1, 0])
+    assert render_svg(p, spec=spec) == render_svg(p, spec=RenderSpec(format="svg", cell_px=int(cell_px)))
 
 
 # ------------------------------------------------------------ compare
