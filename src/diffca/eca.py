@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import MAX_PYRAMID_CELLS, RowLike, TooLarge, as_row
 from .patterns import HighlightMask
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 BOUNDARIES = ("zero", "periodic")
-_AGREEMENT_BLOCK = 1 << 16  # cone cells per pass of impulse_agreement: ~1.5 MB of index temporaries
+_AGREEMENT_BLOCK = 1 << 16  # cone cells per pass of impulse_agreement: ~1 MB of int64 index temporaries
 
 
 def _integer(value, name: str) -> int:
@@ -121,14 +122,27 @@ def _diagram(first: np.ndarray, table: tuple[int, ...], periodic: bool, generati
     """Rows 0..``generations`` from the 0/1 row ``first``, as a ``(generations + 1, width)`` uint8 array.
 
     A row is one Python ``int`` with cell i at bit i, so a generation is a few
-    whole-row bitwise operations: the successor is the OR of the rule's
-    minterms over the left neighbors, the cells and the right neighbors.
+    whole-row bitwise operations: the successor is the XOR of the monomials
+    of the rule's algebraic normal form, each an AND over the left
+    neighbors, the cells and the right neighbors (rule 90 is ``left ^ right``).
     Each generation is kept only as its packed bytes until one unpack.
     """
     n = first.size
     nbytes = (n + 7) // 8
     full = (1 << n) - 1
-    ones = [k for k in range(8) if table[k]]
+    # the Moebius transform of the table over GF(2): anf[k] is 1 when the product
+    # of the neighbors named by k's bits (4 left, 2 center, 1 right) is a term
+    anf = list(table)
+    for bit in (1, 2, 4):
+        for k in range(8):
+            if k & bit:
+                anf[k] ^= anf[k ^ bit]
+    constant = full if anf[0] else 0
+    monomials = []  # each as its first factor and the rest, indices into (left, x, right)
+    for k in range(1, 8):
+        if anf[k]:
+            first_factor, *rest = [i for i, bit in enumerate((4, 2, 1)) if k & bit]
+            monomials.append((first_factor, rest))
     x = int.from_bytes(np.packbits(first, bitorder="little"), "little")
     packed = bytearray(x.to_bytes(nbytes, "little"))
     for _ in range(generations):
@@ -136,10 +150,13 @@ def _diagram(first: np.ndarray, table: tuple[int, ...], periodic: bool, generati
         if periodic:
             left |= x >> (n - 1)
             right |= (x & 1) << (n - 1)
-        bits = ((full ^ left, left), (full ^ x, x), (full ^ right, right))
-        x = 0
-        for k in ones:
-            x |= bits[0][k >> 2] & bits[1][k >> 1 & 1] & bits[2][k & 1]
+        cells = (left, x, right)
+        x = constant
+        for i, rest in monomials:
+            term = cells[i]
+            for j in rest:
+                term &= cells[j]
+            x ^= term
         packed += x.to_bytes(nbytes, "little")
     rows = np.frombuffer(packed, np.uint8).reshape(generations + 1, nbytes)
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
@@ -202,6 +219,9 @@ def impulse_agreement(mask: HighlightMask, impulse_index: int) -> tuple[float, f
     Returns ``(direct, complement)``: the fraction of existing cone cells
     where the mask equals that parity, and where it equals its negation.
     Either ratio at 1.0 certifies an exact structural reproduction.
+
+    The cone is scored as a rectangle in blocks of whole rows, each block
+    gathered from the mask through a sliding window over its row offsets.
     """
     j0 = _integer(impulse_index, "impulse_index")
     cells, starts = mask.packed
@@ -209,18 +229,24 @@ def impulse_agreement(mask: HighlightMask, impulse_index: int) -> tuple[float, f
     if not 0 <= j0 < n:
         raise ValueError("no cone cells: impulse index outside the pyramid")
     # cone cell (t, j0 - t + k) is (a, b) = (k, t - k): the rectangle a <= n - 1 - j0,
-    # b <= j0 (cut to a + b < h), where binomial(a + b, a) is odd iff a & b == 0
-    # int32 offsets: a, b < height, and a mask of 2**30 rows would not fit in memory
-    b = np.arange(min(j0 + 1, h), dtype=np.int32)
-    rows = min(n - j0, h)
-    total = direct = 0
-    step = max(1, _AGREEMENT_BLOCK // b.size)  # whole a-rows per block
-    for a0 in range(0, rows, step):
-        a = np.arange(a0, min(a0 + step, rows), dtype=np.int32)[:, None]
-        t = a + b
-        inside = t < h
-        # cells past the cut index nothing real: clip them into range and count them out
-        hit = cells.take(starts.take(t, mode="clip") + (j0 - b), mode="clip") == ((a & b) == 0)
-        total += int(np.count_nonzero(inside))
-        direct += int(np.count_nonzero(hit & inside))
+    # b <= j0 (cut to a + b < h), where binomial(a + b, a) is odd iff a & b == 0;
+    # with u[t] = starts[t] - t + j0 it sits at u[a + b] + a, so an a-row of the
+    # rectangle is a window of u plus a
+    b_cols, a_rows = min(j0 + 1, h), min(n - j0, h)
+    t = np.arange(a_rows + b_cols - 1)
+    u = starts.take(t, mode="clip") - t + j0  # a t past the cut indexes nothing real
+    windows = sliding_window_view(u, b_cols)
+    b = np.arange(b_cols)
+    cut = a_rows + b_cols - 1 > h  # only a truncated mask has cells past its last row
+    total = 0 if cut else a_rows * b_cols
+    direct = 0
+    step = max(1, _AGREEMENT_BLOCK // b_cols)  # whole a-rows per block
+    for a0 in range(0, a_rows, step):
+        a = np.arange(a0, min(a0 + step, a_rows))[:, None]
+        hit = cells.take(windows[a0 : a0 + step] + a, mode="clip") == ((a & b) == 0)
+        if cut:  # clip the cells past the cut into range and count them out
+            inside = a + b < h
+            hit &= inside
+            total += int(np.count_nonzero(inside))
+        direct += int(np.count_nonzero(hit))
     return direct / total, (total - direct) / total

@@ -207,9 +207,11 @@ def _layout(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.n
     """Stack the panels one blank cell row apart, each centered on the widest.
 
     Returns the canvas width and height in pixels and an iterator over the
-    placed rows ``(y, xp, xr, paints)``: ``y`` is the top pixel row, ``xp``
+    placed paints ``(y, xp, xr, paints)``: ``y`` is the top pixel row, ``xp``
     the panel's offset in the canvas and ``xr`` the row's offset in its
-    panel, both in half pixels. Rasters floor the two offsets one by one;
+    panel, both in half pixels. A panel of equal rows (an elementary-CA
+    diagram) is placed as one ``(rows, cells)`` block of paints; any other
+    row by row, with 1-D paints. Rasters floor the two offsets one by one;
     SVG writes their sum exactly. A panel's paints, ``paint(panel)``, are
     made when the iterator reaches it, after the callers' size checks.
     """
@@ -221,11 +223,15 @@ def _layout(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.n
         y = 0
         for panel in panels:
             paints, s = paint(panel), panel[1].tolist()
-            pw = s[1] * cp
-            for a, b in pairwise(s):
-                xr = pw - (b - a) * cp if spec.alignment == "centered" else 0
-                yield y, w - pw, xr, paints[a:b]
-                y += cp
+            rows, pw = len(s) - 1, s[1] * cp
+            if s[-1] == rows * s[1]:  # no row is longer than the first, so all are equal
+                yield y, w - pw, 0, paints.reshape(rows, s[1])
+                y += rows * cp
+            else:
+                for a, b in pairwise(s):
+                    xr = pw - (b - a) * cp if spec.alignment == "centered" else 0
+                    yield y, w - pw, xr, paints[a:b]
+                    y += cp
             y += cp
 
     return w, h, placed()
@@ -242,7 +248,11 @@ def _raster(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.n
     canvas = np.full((h, w), blank, dtype=np.uint8)
     for y, xp, xr, paints in rows:
         x = xp // 2 + xr // 2
-        canvas[y : y + cp, x : x + paints.size * cp] = paints if cp == 1 else np.repeat(paints, cp)
+        if paints.ndim == 1:  # one row: a plain slice costs half the 4-D view below
+            canvas[y : y + cp, x : x + paints.size * cp] = paints if cp == 1 else np.repeat(paints, cp)
+        else:  # every cell a cp x cp square, written through a view of the block's pixels
+            r, c = paints.shape
+            canvas[y : y + r * cp, x : x + c * cp].reshape(r, cp, c, cp)[...] = paints.reshape(r, 1, c, 1)
     return canvas
 
 
@@ -339,21 +349,23 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
         'shape-rendering="crispEdges">\n'
     ]
     rects = np.empty(3 * _SVG_JOIN, dtype=object)
-    for y, xp, xr, paints in rows:
+    for y, xp, xr, block in rows:
         m, parity = divmod((xp + xr) // cp, 2)
         if parity not in heads:
             heads[parity] = np.array(
                 [f'<rect x="{x // 2}{".5" if x % 2 else ""}" y="' for x in range(parity * cp, 2 * w + 1, 2 * cp)],
                 dtype=object,
             )
-        mid = f'{y}" width="{cp}" height="{cp}'
-        for i in range(0, paints.size, _SVG_JOIN):  # one string a row, not a rect: half the peak memory
-            k = min(_SVG_JOIN, paints.size - i)
-            row = rects[: 3 * k]
-            row[0::3] = heads[parity][m + i : m + i + k]
-            row[1::3] = mid
-            row[2::3] = tails[paints[i : i + k]]
-            parts.append("".join(row.tolist()))
+        for paints in block if block.ndim == 2 else (block,):
+            mid = f'{y}" width="{cp}" height="{cp}'
+            for i in range(0, paints.size, _SVG_JOIN):  # one string a row, not a rect: half the peak memory
+                k = min(_SVG_JOIN, paints.size - i)
+                row = rects[: 3 * k]
+                row[0::3] = heads[parity][m + i : m + i + k]
+                row[1::3] = mid
+                row[2::3] = tails[paints[i : i + k]]
+                parts.append("".join(row.tolist()))
+            y += cp
     del heads, rects  # before the document is joined: its parts and itself are the peak
     parts.append("</svg>")
     return "".join(parts)
@@ -404,8 +416,11 @@ def render_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> str | bytes:
     """
     spec = spec or RenderSpec()
     if spec.format == "ascii":
-        ink, blank = FILLED_GLYPH.encode(), EMPTY_GLYPH.encode()
-        return "\n".join(np.where(row != 0, ink, blank).tobytes().decode() for row in d.rows)
+        # one glyph per cell and a newline after each row, the last one dropped
+        text = np.full((len(d), d.width + 1), ord("\n"), dtype=np.uint8)
+        glyphs = np.frombuffer((EMPTY_GLYPH + FILLED_GLYPH).encode(), np.uint8)
+        np.take(glyphs, d.rows, out=text[:, :-1], mode="clip")  # cells are 0 or 1: no bounds check needed
+        return text.tobytes()[:-1].decode("ascii")
     return _SERIALIZERS[spec.format]([_diagram_panel(d)], spec)
 
 

@@ -20,7 +20,7 @@ from diffca.eca import (
     impulse_row,
     rule_table,
 )
-from diffca.engine import MAX_PYRAMID_CELLS, TooLarge, evolve, pascal_mod2
+from diffca.engine import MAX_CELL, MAX_PYRAMID_CELLS, TooLarge, evolve, pascal_mod2
 from diffca.patterns import HighlightMask, highlight_pyramid
 
 
@@ -323,6 +323,29 @@ def test_rule_182_impulse_is_not_the_cone_complement_of_rule_90():
             if int(d182.rows[t, c]) != 1 - int(d90.rows[t, c]):
                 mismatches += 1
     assert mismatches > 0
+
+
+@st.composite
+def digit_or_full_range_rows(draw):
+    n = draw(st.integers(1, 300))
+    top = draw(st.sampled_from([9, MAX_CELL]))
+    return draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+
+
+@given(digit_or_full_range_rows())
+# the packed rows of 63, 64, 65 and 129 cells end just before, on and past a 64-bit word
+@example([(i * i + 3) % 10 for i in range(63)])
+@example([(i * 7) % 10 for i in range(64)])
+@example([MAX_CELL - i for i in range(65)])
+@example([(MAX_CELL - 1) * (i % 3 == 0) + i % 2 for i in range(129)])
+@settings(max_examples=60, deadline=None)
+def test_the_mod_2_pyramid_is_rule_102(row):
+    # |a - b| mod 2 is a xor b, the center XOR the right neighbor: rule 102, whose
+    # zero boundary only reaches the cells the shrinking pyramid has dropped
+    n = len(row)
+    d = eca_evolve(np.array(row, dtype=np.uint64) % 2, 102, n - 1)
+    for t, cells in enumerate(evolve(row).rows):
+        assert np.array_equal(cells % 2, d.rows[t, : n - t]), t
 
 
 # --------------------------------------------------------- agreement

@@ -519,6 +519,18 @@ def test_eca_ascii_uses_ink_and_dots():
     assert render_eca(d) == "..#..\n.#.#.\n#...#"
 
 
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=40),
+    st.integers(0, 30),
+    st.sampled_from([30, 90, 110, 255]),
+)
+@settings(max_examples=60, deadline=None)
+def test_eca_ascii_matches_a_per_row_reference(bits, generations, rule):
+    d = eca_evolve(bits, rule, generations)
+    expected = "\n".join("".join("#" if cell else "." for cell in row) for row in d.rows.tolist())
+    assert render_eca(d) == expected
+
+
 def test_eca_pbm_matches_the_diagram():
     d = eca_evolve(impulse_row(7), 90, 3)
     grid = read_pbm(render_eca(d, RenderSpec(format="pbm")))
@@ -624,6 +636,29 @@ def test_compare_rejects_pgm():
     d, p, mask = _compare_inputs()
     with pytest.raises(ValueError):
         render_compare(d, p, mask, RenderSpec(format="pgm"))
+
+
+@pytest.mark.parametrize("cp", [1, 2, 3])
+@pytest.mark.parametrize("margin", [-3, -2, 2, 3])
+def test_diagram_blocks_off_centre_match_per_row_references(margin, cp):
+    # a diagram narrower or wider than the pyramid by an odd or even margin: the
+    # diagram's block sits off the canvas origin, centered by the floor of half
+    # the margin; from cp 3 on, a pixel row crosses the 70-digit PBM line
+    n = 24
+    d = eca_evolve(impulse_row(n + margin, 5), 30, 7)
+    diagram = d.rows.tolist()
+    p = evolve([(i * i + i // 3) % 3 for i in range(n)])
+    mask = highlight_pyramid(p, [1])
+    mask_rows = [row.tolist() for row in mask]
+    gray_rows = [[0 if cell else 255 for cell in row] for row in diagram]
+    for alignment in ("centered", "left"):
+        centered = alignment == "centered"
+        pbm, pgm, svg = (RenderSpec(format=f, cell_px=cp, alignment=alignment) for f in ("pbm", "pgm", "svg"))
+        assert render_compare(d, p, mask, pbm) == _pbm_by_row([diagram, mask_rows], cp, centered)
+        assert render_eca(d, pbm) == _pbm_by_row([diagram], cp, centered)
+        assert render_eca(d, pgm) == _pgm_by_row(gray_rows, cp, centered)
+        inked = [[[None if cell else 255 for cell in row] for row in rows] for rows in (diagram, mask_rows)]
+        assert render_compare(d, p, mask, svg) == _svg_by_rect(inked, svg)
 
 
 def test_renders_are_deterministic():
