@@ -208,6 +208,11 @@ def test_evolve_names_a_generations_argument_that_is_not_an_integer(generations)
     assert eca_evolve([0, 1, 0], 90, np.int64(1)).generations == 1
 
 
+def test_evolve_refuses_negative_generations():
+    with pytest.raises(ValueError, match="^generations is non-negative$"):
+        eca_evolve([0, 1, 0], 90, -1)
+
+
 def test_diagram_rows_are_read_only():
     d = eca_evolve(impulse_row(5), 90, 2)
     with pytest.raises(ValueError):

@@ -416,6 +416,19 @@ def test_svg_peak_memory_is_about_twice_the_document():
     assert peak < 2.3 * len(doc)
 
 
+def test_svg_peak_memory_of_wide_diagram_rows_stays_near_the_document():
+    # a 9000-rect row is one string of ~0.5 MB; the document and its parts are the peak
+    d = eca_evolve(impulse_row(9000), 90, 40)
+    tracemalloc.start()
+    try:
+        doc = render_eca(d, RenderSpec(format="svg"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.count("<rect") == 9000 * 41
+    assert peak < 2.5 * len(doc)
+
+
 def test_svg_coordinates_are_exact_at_any_scale():
     doc = render_svg(evolve([1, 2, 3]), spec=RenderSpec(format="svg", cell_px=411523))
     assert 'width="1234569" height="1234569" viewBox="0 0 1234569 1234569"' in doc
@@ -495,6 +508,8 @@ def test_svg_matches_a_per_rect_reference(values, cap, pattern, cp, color):
     st.sampled_from([1, 2, 5, 6, 12]),
     st.sampled_from(["#1a1a1a", "#FF00aa"]),
 )
+# a diagram row of more than 8192 rects, wider than any fixed join size a writer might cap at
+@example([int(i == 4100) for i in range(8201)], 2, [1, 0, 2], 1, "#1a1a1a")
 @settings(max_examples=100, deadline=None)
 def test_eca_and_compare_svg_match_a_per_rect_reference(bits, generations, values, cp, color):
     # diagrams and pyramids of unequal width, so either panel can be the narrower
