@@ -31,7 +31,7 @@ from .eca import (
     impulse_row,
     rule_table,
 )
-from .engine import MAX_PYRAMID_CELLS, RowTooShort, TooLarge, evolve, make_symmetric
+from .engine import MAX_PYRAMID_CELLS, TooLarge, evolve, make_symmetric
 from .expressions import ExpressionError, parse_expression, serialize_expression
 from .fixtures import DEFAULT_EVOLUTION, FIXTURE_IDS, UnknownFixture, load_fixture
 from .patterns import highlight_pyramid
@@ -218,7 +218,6 @@ _COMPONENTS: tuple[tuple[type[Exception], str], ...] = (
     (UnknownFixture, "fixture"),
     (OutOfRange, "rule"),
     (NonBinaryCell, "initial row"),
-    (RowTooShort, "input row"),
     (TooLarge, "size"),
     (OSError, "io"),
     (ValueError, "input"),

@@ -29,7 +29,6 @@ __all__ = [
     "NonBinaryCell",
     "OutOfRange",
     "eca_evolve",
-    "eca_step",
     "impulse_agreement",
     "impulse_row",
     "rule_table",
@@ -84,10 +83,6 @@ def rule_table(number: int) -> EcaRule:
 RuleLike = Union[int, EcaRule]
 
 
-def _as_rule(rule: RuleLike) -> EcaRule:
-    return rule if isinstance(rule, EcaRule) else rule_table(rule)
-
-
 def _as_binary_row(row: RowLike) -> np.ndarray:
     # an integer array is checked in its own dtype instead of widened to
     # uint64; one that fails goes through as_row, which raises its error
@@ -109,13 +104,6 @@ def impulse_row(width: int, index: int | None = None) -> np.ndarray:
     row = np.zeros(width, dtype=np.uint8)
     row[hot] = 1
     return row
-
-
-def _periodic(boundary: str) -> bool:
-    """Validate ``boundary``; True when the row wraps around."""
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary is one of {BOUNDARIES}, got {boundary!r}")
-    return boundary == "periodic"
 
 
 def _diagram(first: np.ndarray, table: tuple[int, ...], periodic: bool, generations: int) -> np.ndarray:
@@ -162,11 +150,6 @@ def _diagram(first: np.ndarray, table: tuple[int, ...], periodic: bool, generati
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
-def eca_step(row: RowLike, rule: RuleLike, boundary: str = "zero") -> np.ndarray:
-    """One synchronous update; the width never changes."""
-    return _diagram(_as_binary_row(row), _as_rule(rule).table, _periodic(boundary), 1)[1]
-
-
 @dataclass(frozen=True)
 class EcaDiagram:
     """Constant-width space-time diagram: ``rows[t]`` is generation t."""
@@ -195,17 +178,19 @@ def eca_evolve(
 ) -> EcaDiagram:
     """Evolve ``initial`` for ``generations`` steps; row 0 is the input.
 
+    The width never changes; one step is ``eca_evolve(row, rule, 1).rows[1]``.
     Raises :class:`TooLarge`, before converting the row, when the diagram
     would hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
     generations = _integer(generations, "generations")
     if generations < 0:
         raise ValueError("generations is non-negative")
-    periodic = _periodic(boundary)
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary is one of {BOUNDARIES}, got {boundary!r}")
     width = initial.size if isinstance(initial, np.ndarray) else len(initial)
     TooLarge.check((generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
-    rl = _as_rule(rule)
-    rows = _diagram(_as_binary_row(initial), rl.table, periodic, generations)
+    rl = rule if isinstance(rule, EcaRule) else rule_table(rule)
+    rows = _diagram(_as_binary_row(initial), rl.table, boundary == "periodic", generations)
     rows.setflags(write=False)
     return EcaDiagram(rows, rl, boundary)
 

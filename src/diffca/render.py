@@ -51,7 +51,6 @@ _PNM_LINE = 70  # plain-format line length cap
 # an 8192 x 8192 raster: 64 MiB as uint8, before its plain-text serialization
 MAX_CANVAS_PIXELS = 8192 * 8192
 _ASCII_BY_VALUE = 1 << 16  # ascii tokens are tabulated by value below this maximum
-_SVG_JOIN = 1 << 12  # rects a string holds at most: a wide row's temporaries stay small
 _SHADE_BLOCK = 1 << 17  # cells a block of shaded rows holds at most: 1 MB a temporary at uint64
 
 # A paint is INK (highlighted, or 1 in a diagram) or a gray level from 0
@@ -337,9 +336,8 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     # the budget is the largest plain PGM the raster budget allows, "255 " a pixel
     rect = f'<rect x="{w}.5" y="{h}" width="{cp}" height="{cp}" fill="#rrggbb"{edge}/>\n'
     TooLarge.check(sum(c.size for c, *_ in panels) * len(rect), 4 * MAX_CANVAS_PIXELS, "SVG bytes")
-    # every x in half pixels is j * cp, and a row's rects step j by 2: heads[j % 2][j // 2]
-    # is the head at j, and each parity's table is made when a row first needs it
-    heads = {}
+    # every x in half pixels is j * cp, and a row's rects step j by 2: heads[j] is the head at j
+    heads = np.array([f'<rect x="{x // 2}{".5" if x % 2 else ""}" y="' for x in range(0, 2 * w + 1, cp)], dtype=object)
     # a tail per gray level, then the highlight's, so a paint of INK takes the last
     fills = (*_SVG_GRAYS, spec.highlight_color)
     tails = np.array([f'" fill="{fill}"{edge}/>\n' for fill in fills], dtype=object)
@@ -348,23 +346,15 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}" '
         'shape-rendering="crispEdges">\n'
     ]
-    rects = np.empty(3 * _SVG_JOIN, dtype=object)
+    rects = np.empty(3 * (w // cp), dtype=object)  # the widest row's heads, middles and tails
     for y, xp, xr, block in rows:
-        m, parity = divmod((xp + xr) // cp, 2)
-        if parity not in heads:
-            heads[parity] = np.array(
-                [f'<rect x="{x // 2}{".5" if x % 2 else ""}" y="' for x in range(parity * cp, 2 * w + 1, 2 * cp)],
-                dtype=object,
-            )
+        j = (xp + xr) // cp
         for paints in block if block.ndim == 2 else (block,):
-            mid = f'{y}" width="{cp}" height="{cp}'
-            for i in range(0, paints.size, _SVG_JOIN):  # one string a row, not a rect: half the peak memory
-                k = min(_SVG_JOIN, paints.size - i)
-                row = rects[: 3 * k]
-                row[0::3] = heads[parity][m + i : m + i + k]
-                row[1::3] = mid
-                row[2::3] = tails[paints[i : i + k]]
-                parts.append("".join(row.tolist()))
+            row = rects[: 3 * paints.size]
+            row[0::3] = heads[j : j + 2 * paints.size : 2]
+            row[1::3] = f'{y}" width="{cp}" height="{cp}'
+            row[2::3] = tails[paints]
+            parts.append("".join(row.tolist()))  # one string a row, not a rect: half the peak memory
             y += cp
     del heads, rects  # before the document is joined: its parts and itself are the peak
     parts.append("</svg>")

@@ -15,7 +15,6 @@ from diffca.eca import (
     OutOfRange,
     _as_binary_row,
     eca_evolve,
-    eca_step,
     impulse_agreement,
     impulse_row,
     rule_table,
@@ -80,22 +79,22 @@ def test_rule_numbers_take_integer_likes():
 
 
 def test_step_rule_90_zero_boundary():
-    assert eca_step([0, 0, 1, 0, 0], 90).tolist() == [0, 1, 0, 1, 0]
-    assert eca_step([1, 0, 0, 1], 90).tolist() == [0, 1, 1, 0]
+    assert eca_evolve([0, 0, 1, 0, 0], 90, 1).rows[1].tolist() == [0, 1, 0, 1, 0]
+    assert eca_evolve([1, 0, 0, 1], 90, 1).rows[1].tolist() == [0, 1, 1, 0]
 
 
 def test_step_rule_90_periodic_boundary():
-    assert eca_step([1, 0, 0, 1], 90, boundary="periodic").tolist() == [1, 1, 1, 1]
-    assert eca_step([1, 0, 0, 0], 90, boundary="periodic").tolist() == [0, 1, 0, 1]
+    assert eca_evolve([1, 0, 0, 1], 90, 1, boundary="periodic").rows[1].tolist() == [1, 1, 1, 1]
+    assert eca_evolve([1, 0, 0, 0], 90, 1, boundary="periodic").rows[1].tolist() == [0, 1, 0, 1]
 
 
 def test_step_rule_110_example():
-    assert eca_step([0, 1, 1, 0], 110).tolist() == [1, 1, 1, 0]
+    assert eca_evolve([0, 1, 1, 0], 110, 1).rows[1].tolist() == [1, 1, 1, 0]
 
 
 def test_step_rejects_non_binary_rows():
     with pytest.raises(NonBinaryCell):
-        eca_step([0, 2, 1], 90)
+        eca_evolve([0, 2, 1], 90, 1)
 
 
 @pytest.mark.parametrize(
@@ -129,7 +128,7 @@ def test_binary_rows_are_checked_in_their_own_dtype():
 
 def test_step_rejects_unknown_boundary():
     with pytest.raises(ValueError):
-        eca_step([0, 1, 0], 90, boundary="mirror")
+        eca_evolve([0, 1, 0], 90, 1, boundary="mirror")
 
 
 def test_impulse_row_is_centered_by_default():
@@ -241,13 +240,14 @@ def _step_by_cell(row, number, boundary):
 @settings(max_examples=15, deadline=None)
 def test_evolve_matches_repeated_steps_for_every_rule(row, boundary, generations):
     for number in range(256):
-        assert eca_step(row, number, boundary).tolist() == _step_by_cell(row, number, boundary)
-        expected = [np.asarray(row, dtype=np.uint8)]
+        step = eca_evolve(row, number, 1, boundary=boundary).rows[1]
+        assert step.tolist() == _step_by_cell(row, number, boundary)
+        expected = [row]
         for _ in range(generations):
-            expected.append(eca_step(expected[-1], number, boundary))
+            expected.append(_step_by_cell(expected[-1], number, boundary))
         d = eca_evolve(row, number, generations, boundary=boundary)
         assert d.rows.dtype == np.uint8
-        assert np.array_equal(d.rows, np.array(expected)), number
+        assert d.rows.tolist() == expected, number
 
 
 def _edge_row(width):
