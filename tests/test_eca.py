@@ -207,6 +207,15 @@ def test_evolve_names_a_generations_argument_that_is_not_an_integer(generations)
     assert eca_evolve([0, 1, 0], 90, np.int64(1)).generations == 1
 
 
+@pytest.mark.parametrize("initial", [5, iter([0, 1])], ids=["int", "iterator"])
+def test_evolve_refuses_an_input_without_a_length_as_the_engine_does(initial):
+    # the width check comes first, so it must not call len() on what is not a row
+    with pytest.raises(ValueError, match=r"^rows are one-dimensional, got shape \(\)$"):
+        evolve(initial)
+    with pytest.raises(ValueError, match=r"^rows are one-dimensional, got shape \(\)$"):
+        eca_evolve(initial, 90, 1)
+
+
 def test_evolve_refuses_negative_generations():
     with pytest.raises(ValueError, match="^generations is non-negative$"):
         eca_evolve([0, 1, 0], 90, -1)
