@@ -187,7 +187,10 @@ def eca_evolve(
         raise ValueError("generations is non-negative")
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary is one of {BOUNDARIES}, got {boundary!r}")
-    width = initial.size if isinstance(initial, np.ndarray) else len(initial)
+    try:
+        width = initial.size if isinstance(initial, np.ndarray) else len(initial)
+    except TypeError:  # no length, so no row: as_row names its shape
+        width = as_row(initial).size
     TooLarge.check((generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
     rl = rule if isinstance(rule, EcaRule) else rule_table(rule)
     rows = _diagram(_as_binary_row(initial), rl.table, boundary == "periodic", generations)
