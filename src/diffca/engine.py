@@ -26,14 +26,12 @@ __all__ = [
     "IndexOutOfRange",
     "Pyramid",
     "RowLike",
-    "RowTooShort",
     "TooLarge",
     "Triangle",
     "as_row",
     "evolve",
     "make_symmetric",
     "pascal_mod2",
-    "step",
 ]
 
 CELL_DTYPE = np.uint64
@@ -48,10 +46,6 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} is an integer, got {value!r}") from None
-
-
-class RowTooShort(ValueError):
-    """A difference step needs at least two cells to form one pair."""
 
 
 class TooLarge(ValueError):
@@ -98,23 +92,6 @@ def as_row(values: RowLike) -> np.ndarray:
     if arr.dtype == object and (arr > MAX_CELL).any():
         raise ValueError(f"cell values exceed the 64-bit bound {MAX_CELL}")
     return arr.astype(CELL_DTYPE)
-
-
-def _abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    # unsigned-safe |a - b| = max - min, written into out; plain subtraction would wrap
-    np.maximum(a, b, out=out)
-    return np.subtract(out, np.minimum(a, b, out=scratch), out=out)
-
-
-def step(row: RowLike) -> np.ndarray:
-    """One generation: ``out[i] = |row[i] - row[i+1]|``, one cell shorter.
-
-    Raises :class:`RowTooShort` for rows with fewer than two cells.
-    """
-    r = as_row(row)
-    if r.size < 2:
-        raise RowTooShort("a difference step needs at least two cells")
-    return _abs_diff(r[:-1], r[1:], np.empty(r.size - 1, CELL_DTYPE), np.empty(r.size - 1, CELL_DTYPE))
 
 
 class Triangle:
@@ -231,7 +208,8 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     lo = 0
     for w in range(n, n - steps, -1):  # row t is cells[lo:lo + w]; row t + 1 follows it
         a, b, out = cells[lo : lo + w - 1], cells[lo + 1 : lo + w], cells[lo + w : lo + 2 * w - 1]
-        _abs_diff(a, b, out, scratch[: w - 1])
+        # unsigned-safe |a - b| = max - min, written into out; plain subtraction would wrap
+        np.subtract(np.maximum(a, b, out=out), np.minimum(a, b, out=scratch[: w - 1]), out=out)
         lo += w
     t = np.arange(steps + 2)
     return Pyramid.__new__(Pyramid)._hold(cells, t * (2 * n + 1 - t) // 2)

@@ -13,7 +13,6 @@ identical inputs give byte-identical output.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass, replace
 from itertools import pairwise
 from typing import Callable, Iterator
@@ -65,7 +64,7 @@ class ShapeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """How to draw: output format, raster scale, layout and highlight color.
+    """How to draw: output format, raster scale and layout.
 
     ``palette`` picks what unhighlighted cells show: ``"values"`` keeps the
     digits (ascii) or flat fill (svg), ``"mask"`` blanks them to '.', and
@@ -76,7 +75,6 @@ class RenderSpec:
     cell_px: int = 1
     alignment: str = "centered"
     palette: str = "values"
-    highlight_color: str = "#1a1a1a"
 
     def __post_init__(self) -> None:
         for name, allowed in (("format", FORMATS), ("alignment", ALIGNMENTS), ("palette", PALETTES)):
@@ -88,8 +86,6 @@ class RenderSpec:
             raise TypeError(f"cell_px is an integer, got {self.cell_px!r}") from None
         if self.cell_px < 1:
             raise ValueError("cell_px is at least 1")
-        if not re.fullmatch(r"#[0-9a-fA-F]{6}", self.highlight_color):
-            raise ValueError(f"highlight_color is #rrggbb, got {self.highlight_color!r}")
 
 
 def _check_congruent(p: Pyramid, mask: HighlightMask | None) -> None:
@@ -284,8 +280,8 @@ _PGM_WIDTH = np.array([len(f" {g}") for g in range(256)], dtype=np.uint8)
 # pixels a block of whole rows, or one row: its temporaries stay near 0.5 MB each,
 # and a row of the canvas budget at 4 bytes a pixel keeps its offsets within int32
 _PGM_BLOCK = 1 << 17
-# an SVG fill per gray level, in paint order
-_SVG_GRAYS = tuple(f"#{g:02x}{g:02x}{g:02x}" for g in range(256))
+# an SVG fill per gray level, in paint order, then the highlight's, so a paint of INK takes the last
+_SVG_FILLS = (*(f"#{g:02x}{g:02x}{g:02x}" for g in range(256)), "#1a1a1a")
 
 
 def _pgm(panels: list[Panel], spec: RenderSpec) -> bytes:
@@ -338,9 +334,7 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     TooLarge.check(sum(c.size for c, *_ in panels) * len(rect), 4 * MAX_CANVAS_PIXELS, "SVG bytes")
     # every x in half pixels is j * cp, and a row's rects step j by 2: heads[j] is the head at j
     heads = np.array([f'<rect x="{x // 2}{".5" if x % 2 else ""}" y="' for x in range(0, 2 * w + 1, cp)], dtype=object)
-    # a tail per gray level, then the highlight's, so a paint of INK takes the last
-    fills = (*_SVG_GRAYS, spec.highlight_color)
-    tails = np.array([f'" fill="{fill}"{edge}/>\n' for fill in fills], dtype=object)
+    tails = np.array([f'" fill="{fill}"{edge}/>\n' for fill in _SVG_FILLS], dtype=object)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}" '
@@ -385,7 +379,7 @@ def render_svg(
 ) -> str:
     """SVG 1.1 document with one rectangle per cell, emitted row-major.
 
-    Highlighted cells take the highlight color; without a mask the cells
+    Highlighted cells are filled #1a1a1a; without a mask the cells
     are shaded by value so the triangle stays readable. Raises
     :class:`TooLarge`, before writing any rect, when cells × the longest
     rect would exceed ``4 * MAX_CANVAS_PIXELS`` bytes.

@@ -368,8 +368,8 @@ def test_svg_emits_one_rect_per_cell():
 def test_svg_highlights_masked_cells():
     p = evolve([1, 1])
     mask = highlight_pyramid(p, [1])
-    doc = render_svg(p, mask, RenderSpec(format="svg", highlight_color="#ff0000"))
-    assert doc.count('fill="#ff0000"') == 2
+    doc = render_svg(p, mask, RenderSpec(format="svg"))
+    assert doc.count('fill="#1a1a1a"') == 2
     assert doc.count("<rect") == 3
 
 
@@ -462,7 +462,7 @@ def _svg_by_rect(panels, spec: RenderSpec) -> str:
             x2 = width - pw + (pw - len(row) * cp if spec.alignment == "centered" else 0)  # half pixels
             for i, gray in enumerate(row):
                 x = f"{x2 // 2 + i * cp}" + (".5" if x2 % 2 else "")
-                fill = spec.highlight_color if gray is None else f"#{gray:02x}{gray:02x}{gray:02x}"
+                fill = "#1a1a1a" if gray is None else f"#{gray:02x}{gray:02x}{gray:02x}"
                 parts.append(f'<rect x="{x}" y="{y}" width="{cp}" height="{cp}" fill="{fill}"{edge}/>')
             y += cp
         y += cp
@@ -483,11 +483,10 @@ def _painted(gray_rows, mask, shade: bool):
     st.none() | st.integers(0, 3),
     st.none() | st.tuples(st.integers(0, 8), st.integers(1, 2)),
     st.sampled_from([1, 2, 5, 6, 12]),
-    st.sampled_from(["#1a1a1a", "#FF00aa"]),
 )
-@example([MAX_CELL, 0, 3], None, (0, 1), 5, "#1a1a1a")
+@example([MAX_CELL, 0, 3], None, (0, 1), 5)
 @settings(max_examples=100, deadline=None)
-def test_svg_matches_a_per_rect_reference(values, cap, pattern, cp, color):
+def test_svg_matches_a_per_rect_reference(values, cap, pattern, cp):
     p = evolve(values, max_generations=cap)
     gray_rows = _python_grays(values, len(p))
     mask = None
@@ -496,7 +495,7 @@ def test_svg_matches_a_per_rect_reference(values, cap, pattern, cp, color):
         mask = highlight_pyramid(p, values[start : start + pattern[1]])
     for palette in ("values", "mask", "grayscale"):
         for alignment in ("centered", "left"):
-            spec = RenderSpec(format="svg", cell_px=cp, alignment=alignment, palette=palette, highlight_color=color)
+            spec = RenderSpec(format="svg", cell_px=cp, alignment=alignment, palette=palette)
             shade = palette == "grayscale" or (mask is None and palette == "values")
             assert render_svg(p, mask, spec) == _svg_by_rect([_painted(gray_rows, mask, shade)], spec)
 
@@ -506,12 +505,11 @@ def test_svg_matches_a_per_rect_reference(values, cap, pattern, cp, color):
     st.integers(0, 4),
     st.lists(st.integers(0, 3), min_size=1, max_size=9),
     st.sampled_from([1, 2, 5, 6, 12]),
-    st.sampled_from(["#1a1a1a", "#FF00aa"]),
 )
 # a diagram row of more than 8192 rects, wider than any fixed join size a writer might cap at
-@example([int(i == 4100) for i in range(8201)], 2, [1, 0, 2], 1, "#1a1a1a")
+@example([int(i == 4100) for i in range(8201)], 2, [1, 0, 2], 1)
 @settings(max_examples=100, deadline=None)
-def test_eca_and_compare_svg_match_a_per_rect_reference(bits, generations, values, cp, color):
+def test_eca_and_compare_svg_match_a_per_rect_reference(bits, generations, values, cp):
     # diagrams and pyramids of unequal width, so either panel can be the narrower
     d = eca_evolve(bits, 90, generations)
     diagram = [[None if b else 255 for b in row.tolist()] for row in d.rows]
@@ -520,7 +518,7 @@ def test_eca_and_compare_svg_match_a_per_rect_reference(bits, generations, value
     gray_rows = _python_grays(values, len(p))
     for palette in ("values", "grayscale"):
         for alignment in ("centered", "left"):
-            spec = RenderSpec(format="svg", cell_px=cp, alignment=alignment, palette=palette, highlight_color=color)
+            spec = RenderSpec(format="svg", cell_px=cp, alignment=alignment, palette=palette)
             assert render_eca(d, spec) == _svg_by_rect([diagram], spec)
             pyramid = _painted(gray_rows, mask, palette == "grayscale")
             assert render_compare(d, p, mask, spec) == _svg_by_rect([diagram, pyramid], spec)
@@ -592,8 +590,6 @@ def test_render_spec_validates_fields():
         RenderSpec(alignment="right")
     with pytest.raises(ValueError):
         RenderSpec(palette="rainbow")
-    with pytest.raises(ValueError):
-        RenderSpec(highlight_color='"/><script/>')
 
 
 @pytest.mark.parametrize("cell_px", [1.5, 2.0, "3", None])

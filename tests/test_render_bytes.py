@@ -53,8 +53,8 @@ def _pyramid_cases():
                 yield f"pyramid-svg-{align}-{palette}-{cp}", partial(render_pyramid, p, None, spec)
                 yield f"pyramid-svg-{align}-{palette}-{cp}-mask", partial(render_pyramid, p, mask, spec)
     p = evolve(ROWS["wide"][0])
-    spec = RenderSpec(format="svg", palette="grayscale", cell_px=12, highlight_color="#ff0000")
-    yield "pyramid-svg-wide-12-red", partial(render_pyramid, p, highlight_pyramid(p, [2]), spec)
+    spec = RenderSpec(format="svg", palette="grayscale", cell_px=12)
+    yield "pyramid-svg-wide-12", partial(render_pyramid, p, highlight_pyramid(p, [2]), spec)
 
 
 def _eca_cases():
@@ -269,7 +269,7 @@ PINNED = {
     "pyramid-svg-left-values-3-mask": "36a35999a4465a5d09a6f216fbd9a6e9dce670a30363dda10dde5bb715af6dd4",
     "pyramid-svg-left-values-7": "15dac2be72140a83af3d863d6e7bd43ee9be11d07c888aca39acb1503dd7b077",
     "pyramid-svg-left-values-7-mask": "837e199db41a43b70ccfa56c983af88562741d24cb8de5e88666cfa09071eeba",
-    "pyramid-svg-wide-12-red": "286e9b5e25ac0acc0eca8f76a48e36752b6ea580f1c13122f52d323b1d341523",
+    "pyramid-svg-wide-12": "162b5d70203c3a643003e5a7d0f4a40d3bd95aabf414d58cb9022ed1e2f0433c",
 }
 
 
