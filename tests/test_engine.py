@@ -20,7 +20,9 @@ from diffca.engine import (
     make_symmetric,
     pascal_mod2,
 )
+from diffca.eca import eca_evolve
 from diffca.expressions import parse_expression
+from diffca.patterns import match_row
 
 # ------------------------------------------------------------ oracle
 #
@@ -81,6 +83,35 @@ def test_as_row_keeps_the_top_of_the_cell_range():
 def test_as_row_rejects_non_natural_input(bad):
     with pytest.raises((ValueError, TypeError)):
         as_row(bad)
+
+
+_KEPT_DTYPES = ("uint8", "uint16", "uint32", "uint64", ">u2")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.integers(0, 127), min_size=1, max_size=12),
+    form=st.sampled_from(_KEPT_DTYPES + ("int8", "int64", "bool", list, tuple)),
+    binary=st.booleans(),
+    rule=st.integers(0, 255),
+)
+def test_as_row_keeps_an_unsigned_array_and_converts_any_other_input(values, form, binary, rule):
+    if binary or form == "bool":
+        values = [v & 1 for v in values]
+    source = form(values) if callable(form) else np.array(values, dtype=form)
+    row = as_row(source)
+    if form in _KEPT_DTYPES:
+        assert row is source
+    else:
+        assert row is not source and row.dtype == CELL_DTYPE
+    assert row.tolist() == values
+    # every consumer of a row sees the same values as for the row as a list
+    pattern = values[:2]
+    assert evolve(source).to_lists() == evolve(values).to_lists()
+    assert match_row(source, pattern).tolist() == match_row(values, pattern).tolist()
+    assert make_symmetric(source).tolist() == make_symmetric(values).tolist()
+    if max(values) <= 1:
+        assert np.array_equal(eca_evolve(source, rule, 3).rows, eca_evolve(values, rule, 3).rows)
 
 
 # ------------------------------------------------------- generation
