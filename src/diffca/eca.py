@@ -83,16 +83,6 @@ def rule_table(number: int) -> EcaRule:
 RuleLike = Union[int, EcaRule]
 
 
-def _as_binary_row(row: RowLike) -> np.ndarray:
-    # an integer array is checked in its own dtype instead of widened to
-    # uint64; one that fails goes through as_row, which raises its error
-    own = isinstance(row, np.ndarray) and row.dtype.kind in "iub"
-    r = row if own and row.ndim == 1 and row.size and row.min() >= 0 else as_row(row)
-    if (r > 1).any():
-        raise NonBinaryCell("elementary rows hold only 0 and 1")
-    return r.astype(np.uint8)
-
-
 def impulse_row(width: int, index: int | None = None) -> np.ndarray:
     """A row of zeros with a single 1 (centered unless ``index`` is given)."""
     width = _integer(width, "width")
@@ -162,10 +152,6 @@ class EcaDiagram:
     def width(self) -> int:
         return self.rows.shape[1]
 
-    @property
-    def generations(self) -> int:
-        return self.rows.shape[0] - 1
-
     def __len__(self) -> int:
         return self.rows.shape[0]
 
@@ -179,21 +165,21 @@ def eca_evolve(
     """Evolve ``initial`` for ``generations`` steps; row 0 is the input.
 
     The width never changes; one step is ``eca_evolve(row, rule, 1).rows[1]``.
-    Raises :class:`TooLarge`, before converting the row, when the diagram
-    would hold more than :data:`MAX_PYRAMID_CELLS` cells.
+    An unsigned array is used as it is; any other input becomes uint64.
+    Raises :class:`TooLarge`, before allocating, when the diagram would
+    hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
     generations = _integer(generations, "generations")
     if generations < 0:
         raise ValueError("generations is non-negative")
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary is one of {BOUNDARIES}, got {boundary!r}")
-    try:
-        width = initial.size if isinstance(initial, np.ndarray) else len(initial)
-    except TypeError:  # no length, so no row: as_row names its shape
-        width = as_row(initial).size
-    TooLarge.check((generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
+    row = as_row(initial)
+    TooLarge.check((generations + 1) * row.size, MAX_PYRAMID_CELLS, "diagram cells")
     rl = rule if isinstance(rule, EcaRule) else rule_table(rule)
-    rows = _diagram(_as_binary_row(initial), rl.table, boundary == "periodic", generations)
+    if (row > 1).any():
+        raise NonBinaryCell("elementary rows hold only 0 and 1")
+    rows = _diagram(row, rl.table, boundary == "periodic", generations)
     rows.setflags(write=False)
     return EcaDiagram(rows, rl, boundary)
 

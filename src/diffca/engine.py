@@ -66,10 +66,11 @@ RowLike = Union[np.ndarray, Sequence[int]]
 
 
 def as_row(values: RowLike) -> np.ndarray:
-    """Coerce ``values`` to a 1-D uint64 cell row, validating the invariants.
+    """``values`` as a 1-D cell row, validating the invariants.
 
-    Accepts any integer sequence or an existing array. Rejects empty
-    input, negatives, non-integers and values that do not fit in 64 bits.
+    An unsigned array is returned as it is; any other integer input becomes
+    uint64. Rejects empty input, negatives, non-integers and values that do
+    not fit in 64 bits.
     """
     arr = np.asarray(values)
     if not isinstance(values, np.ndarray) and arr.dtype.kind not in "iub" and arr.dtype != object:
@@ -79,7 +80,7 @@ def as_row(values: RowLike) -> np.ndarray:
         raise ValueError(f"rows are one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("rows are nonempty")
-    if arr.dtype == CELL_DTYPE:
+    if arr.dtype.kind == "u":
         return arr
     if arr.dtype == object:
         for v in arr:

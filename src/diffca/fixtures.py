@@ -24,7 +24,6 @@ import numpy as np
 from .expressions import parse_expression
 
 __all__ = [
-    "A1_IMPULSE_INDEX",
     "DEFAULT_EVOLUTION",
     "FIXTURE_IDS",
     "UnknownFixture",
@@ -58,8 +57,6 @@ _SOURCES = {
 }
 
 FIXTURE_IDS: tuple[str, ...] = tuple(_SOURCES)
-
-A1_IMPULSE_INDEX = 50  # position of the lone 1 in fixture a1
 
 # Full evolution of default-p, transcribed row by row as reference data
 # (not generated by this package).

@@ -59,9 +59,7 @@ def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
     occurrences all count; coverage is cellwise, so only patterns of
     length >= 2 can reveal the difference.
     """
-    # an unsigned row is matched in its own dtype, not copied to uint64 by as_row
-    own = isinstance(row, np.ndarray) and row.dtype.kind == "u" and row.ndim == 1 and row.size
-    r = row if own else as_row(row)
+    r = as_row(row)
     return _cover(r, as_row(pattern), np.array([0, r.size]), np.empty(r.size, dtype=bool))
 
 

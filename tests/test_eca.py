@@ -13,7 +13,6 @@ from diffca.eca import (
     EcaRule,
     NonBinaryCell,
     OutOfRange,
-    _as_binary_row,
     eca_evolve,
     impulse_agreement,
     impulse_row,
@@ -109,7 +108,7 @@ def test_step_rejects_non_binary_rows():
 )
 def test_binary_rows_name_what_is_wrong_with_an_array(row, error, text):
     with pytest.raises(error, match=text) as err:
-        _as_binary_row(row)
+        eca_evolve(row, 90, 0)
     assert type(err.value) is error
 
 
@@ -117,13 +116,13 @@ def test_binary_rows_are_checked_in_their_own_dtype():
     row = impulse_row(1_000_000)
     tracemalloc.start()
     try:
-        binary = _as_binary_row(row)
+        binary = eca_evolve(row, 90, 0).rows[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * row.nbytes  # no uint64 copy of the row on the way
     assert binary.dtype == np.uint8 and np.array_equal(binary, row)
-    assert _as_binary_row(np.array([True, False])).tolist() == [1, 0]
+    assert eca_evolve(np.array([True, False]), 90, 0).rows[0].tolist() == [1, 0]
 
 
 def test_step_rejects_unknown_boundary():
@@ -158,7 +157,6 @@ def test_evolve_keeps_width_and_grows_one_row_per_generation():
     d = eca_evolve(impulse_row(9), 90, 4)
     assert isinstance(d, EcaDiagram)
     assert d.width == 9
-    assert d.generations == 4
     assert len(d) == 5
     assert d.rows.shape == (5, 9)
     assert d.rows[0].tolist() == impulse_row(9).tolist()
@@ -185,8 +183,8 @@ def test_evolve_refuses_a_diagram_over_the_cell_budget_before_allocating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < row.nbytes  # the row was not even converted
-    assert eca_evolve(row, 90, 1).generations == 1
+    assert peak < row.nbytes  # the row was not even copied
+    assert len(eca_evolve(row, 90, 1)) == 2
 
 
 def test_evolve_memory_stays_near_the_diagram_it_returns():
@@ -204,12 +202,12 @@ def test_evolve_memory_stays_near_the_diagram_it_returns():
 def test_evolve_names_a_generations_argument_that_is_not_an_integer(generations):
     with pytest.raises(TypeError, match="generations"):
         eca_evolve([0, 1, 0], 90, generations)
-    assert eca_evolve([0, 1, 0], 90, np.int64(1)).generations == 1
+    assert len(eca_evolve([0, 1, 0], 90, np.int64(1))) == 2
 
 
 @pytest.mark.parametrize("initial", [5, iter([0, 1])], ids=["int", "iterator"])
 def test_evolve_refuses_an_input_without_a_length_as_the_engine_does(initial):
-    # the width check comes first, so it must not call len() on what is not a row
+    # eca_evolve takes the width from as_row, which names the shape of what is not a row
     with pytest.raises(ValueError, match=r"^rows are one-dimensional, got shape \(\)$"):
         evolve(initial)
     with pytest.raises(ValueError, match=r"^rows are one-dimensional, got shape \(\)$"):

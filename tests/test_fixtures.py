@@ -5,7 +5,6 @@ import pytest
 
 from diffca.engine import CELL_DTYPE, evolve
 from diffca.fixtures import (
-    A1_IMPULSE_INDEX,
     DEFAULT_EVOLUTION,
     FIXTURE_IDS,
     UnknownFixture,
@@ -50,8 +49,8 @@ def test_p1_new_extends_p1_symmetrically():
 def test_a1_is_a_centered_impulse():
     row = load_fixture("a1")
     assert row.sum() == 1
-    assert int(np.flatnonzero(row)[0]) == A1_IMPULSE_INDEX
-    assert row.size == 2 * A1_IMPULSE_INDEX + 1
+    assert np.flatnonzero(row).tolist() == [50]
+    assert row.size == 101
 
 
 def test_a2_is_a_digit_row():
