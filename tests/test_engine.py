@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffca.eca import eca_evolve
 from diffca.engine import (
     CELL_DTYPE,
     MAX_CELL,
@@ -20,7 +21,6 @@ from diffca.engine import (
     make_symmetric,
     pascal_mod2,
 )
-from diffca.eca import eca_evolve
 from diffca.expressions import parse_expression
 from diffca.patterns import match_row
 
