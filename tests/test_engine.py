@@ -374,3 +374,68 @@ def test_evolve_stores_the_narrowest_dtype_that_holds_the_input(values):
     for got, want in zip(p, expected):
         assert got.dtype == p.packed[0].dtype
         assert got.astype(np.uint64).tolist() == want.tolist()
+
+
+# maxima on either side of each kernel's range: XOR up to 1, the signed view of the
+# storage dtype below half its range, max - min above
+_KERNEL_EDGES = (0, 1, 2, 127, 128, 255, 256, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, MAX_CELL)
+
+
+@pytest.mark.parametrize("top", _KERNEL_EDGES)
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_evolve_is_exact_at_each_kernel_edge(top, data):
+    # the row holds top and 0, so some generation takes |top - 0| and |0 - top|
+    values = data.draw(st.lists(st.integers(0, top), max_size=30))
+    for v in (top, 0):
+        values.insert(data.draw(st.integers(0, len(values))), v)
+    p = evolve(values)
+    assert p.packed[0].dtype == np.min_scalar_type(top)
+    expected = values
+    for row in p:
+        assert row.tolist() == expected
+        expected = [abs(a - b) for a, b in zip(expected, expected[1:])]  # Python ints: no kernel
+    assert expected == []
+
+
+def _parity_by_jump_ahead(values: list[int], t: int) -> int:
+    """Row ``t`` of the pyramid mod 2, cell i at bit i, by the Lucas jump-ahead.
+
+    Row 2**k mod 2 is ``b[i] ^ b[i + 2**k]``, since C(2**k, j) is odd only at
+    j = 0 and 2**k; a depth t is the product of its set bits. No evolve, no ECA.
+    """
+    x = sum((v & 1) << i for i, v in enumerate(values))
+    k = 1
+    while k <= t:
+        if t & k:
+            x ^= x >> k
+        k <<= 1
+    return x & ((1 << (len(values) - t)) - 1)
+
+
+def _packed_parity(row: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(row % 2 == 1, bitorder="little").tobytes(), "little")
+
+
+@given(
+    st.sampled_from([1, 9, 200, 2**40, MAX_CELL]).flatmap(
+        lambda top: st.lists(st.integers(0, top), min_size=1, max_size=80)
+    ),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_evolve_mod_2_matches_the_parity_jump_ahead(values, data):
+    t = data.draw(st.integers(0, len(values) - 1))
+    assert _packed_parity(evolve(values).rows[t]) == _parity_by_jump_ahead(values, t)
+
+
+@pytest.mark.parametrize("n", [367, 1435])
+def test_wide_bit_rows_match_the_parity_jump_ahead_at_every_depth(n):
+    rng = np.random.default_rng(n)
+    impulse = [0] * n
+    impulse[n // 2] = 1
+    for values in (impulse, rng.integers(0, 2, n).tolist(), rng.integers(0, 10, n).tolist()):
+        p = evolve(values)
+        for t in range(n):
+            assert _packed_parity(p.rows[t]) == _parity_by_jump_ahead(values, t), t
+

@@ -672,6 +672,31 @@ def test_diagram_blocks_off_centre_match_per_row_references(margin, cp):
         assert render_compare(d, p, mask, svg) == _svg_by_rect(inked, svg)
 
 
+@pytest.mark.parametrize("cp", [1, 2, 3])
+@pytest.mark.parametrize("band_rows", [0, 1, 2, 3, 4])
+def test_rasters_written_in_small_bands_match_per_row_references(monkeypatch, band_rows, cp):
+    # the raster block shrunk to band_rows cell rows of the compare canvas (0: a few
+    # pixels, so one cell row a band): bands split the diagram's 7-row block, hold the
+    # gap between the panels with a row on either side, or hold one cell row alone
+    n = 9
+    d = eca_evolve(impulse_row(n + 2, 4), 30, 6)
+    diagram = d.rows.tolist()
+    values = [(i * i + i // 3) % 3 for i in range(n)]
+    p = evolve(values)
+    mask = highlight_pyramid(p, [1])
+    mask_rows = [row.tolist() for row in mask]
+    monkeypatch.setattr("diffca.render._PGM_BLOCK", max(5, band_rows * (n + 2) * cp * cp))
+    for alignment in ("centered", "left"):
+        centered = alignment == "centered"
+        pbm, pgm = (RenderSpec(format=f, cell_px=cp, alignment=alignment) for f in ("pbm", "pgm"))
+        assert render_compare(d, p, mask, pbm) == _pbm_by_row([diagram, mask_rows], cp, centered)
+        assert render_pbm(mask, pbm) == _pbm_by_row([mask_rows], cp, centered)
+        assert render_eca(d, pbm) == _pbm_by_row([diagram], cp, centered)
+        assert render_pgm(p, pgm) == _pgm_by_row(_python_grays(values, len(p)), cp, centered)
+        gray_rows = [[0 if cell else 255 for cell in row] for row in diagram]
+        assert render_eca(d, pgm) == _pgm_by_row(gray_rows, cp, centered)
+
+
 def test_renders_are_deterministic():
     d, p, mask = _compare_inputs()
     for spec in (RenderSpec(), RenderSpec(format="pbm"), RenderSpec(format="svg")):
