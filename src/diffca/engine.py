@@ -189,6 +189,9 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     and comes back as a one-row pyramid. The pyramid's cells have the
     narrowest unsigned dtype that holds the input's maximum (uint8 for
     digits): no generation outgrows it, since |a - b| <= max(a, b).
+    The kernel is chosen once, by that maximum: one XOR a generation on
+    0/1 rows (rule 102), a subtract and an abs through the signed view of
+    the same cells below half the dtype's range, else max - min.
     Raises :class:`TooLarge`, before computing any row, when the pyramid
     would hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
@@ -202,15 +205,22 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
         steps = min(steps, max_generations)
     size = (steps + 1) * (2 * n - steps) // 2  # rows of n, n-1, ..., n-steps cells
     TooLarge.check(size, MAX_PYRAMID_CELLS, "pyramid cells")
-    dtype = np.min_scalar_type(int(row.max()))
-    cells = Pyramid._buffer(size, dtype)
+    top = int(row.max())
+    cells = Pyramid._buffer(size, np.min_scalar_type(top))
     cells[:n] = row  # generation 0 must not alias caller memory
-    scratch = np.empty(n - 1, dtype)
+    # below half the range, |a - b| <= top fits the signed type of the same width
+    signed = top < 2 ** (8 * cells.itemsize - 1)
+    work = cells.view(f"i{cells.itemsize}") if signed else cells
+    scratch = None if signed else np.empty(n - 1, cells.dtype)
     lo = 0
-    for w in range(n, n - steps, -1):  # row t is cells[lo:lo + w]; row t + 1 follows it
-        a, b, out = cells[lo : lo + w - 1], cells[lo + 1 : lo + w], cells[lo + w : lo + 2 * w - 1]
-        # unsigned-safe |a - b| = max - min, written into out; plain subtraction would wrap
-        np.subtract(np.maximum(a, b, out=out), np.minimum(a, b, out=scratch[: w - 1]), out=out)
+    for w in range(n, n - steps, -1):  # row t is work[lo:lo + w]; row t + 1 follows it
+        a, b, out = work[lo : lo + w - 1], work[lo + 1 : lo + w], work[lo + w : lo + 2 * w - 1]
+        if top <= 1:  # on bits, |a - b| is a ^ b
+            np.bitwise_xor(a, b, out=out)
+        elif signed:
+            np.abs(np.subtract(a, b, out=out), out=out)
+        else:  # unsigned-safe |a - b| = max - min; plain subtraction would wrap
+            np.subtract(np.maximum(a, b, out=out), np.minimum(a, b, out=scratch[: w - 1]), out=out)
         lo += w
     t = np.arange(steps + 2)
     return Pyramid.__new__(Pyramid)._hold(cells, t * (2 * n + 1 - t) // 2)

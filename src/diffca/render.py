@@ -12,6 +12,7 @@ identical inputs give byte-identical output.
 
 from __future__ import annotations
 
+import io
 import operator
 from dataclasses import dataclass, replace
 from itertools import pairwise
@@ -235,50 +236,89 @@ def _layout(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.n
 # -------------------------------------------------------- serializers
 
 
-def _raster(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.ndarray], blank: int) -> np.ndarray:
-    """The layout as a uint8 canvas of ``paint``'s bytes, ``blank`` where no cell lies."""
+def _raster(
+    panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.ndarray], blank: int
+) -> tuple[int, int, Iterator[np.ndarray]]:
+    """The layout as uint8 pixels of ``paint``'s bytes, ``blank`` where no cell lies.
+
+    Returns the canvas width and height and an iterator over its bands, top
+    to bottom: each band holds whole cell rows, about ``_PGM_BLOCK`` pixels,
+    and is a view of one buffer that the next band overwrites.
+    """
     cp = spec.cell_px
-    w, h, rows = _layout(panels, spec, paint)
+    w, h, placed = _layout(panels, spec, paint)
     TooLarge.check(w * h, MAX_CANVAS_PIXELS, f"pixels of a {w}x{h} canvas")
-    canvas = np.full((h, w), blank, dtype=np.uint8)
-    for y, xp, xr, paints in rows:
-        x = xp // 2 + xr // 2
-        if paints.ndim == 1:  # one row: a plain slice costs half the 4-D view below
-            canvas[y : y + cp, x : x + paints.size * cp] = paints if cp == 1 else np.repeat(paints, cp)
-        else:  # every cell a cp x cp square, written through a view of the block's pixels
-            r, c = paints.shape
-            canvas[y : y + r * cp, x : x + c * cp].reshape(r, cp, c, cp)[...] = paints.reshape(r, 1, c, 1)
-    return canvas
+    step = max(1, _PGM_BLOCK // (w * cp)) * cp  # pixel rows a band; every placed row starts at a multiple of cp
+
+    def bands() -> Iterator[np.ndarray]:
+        band = np.full((min(step, h), w), blank, dtype=np.uint8)
+        top = 0  # the band's first pixel row
+        for y, xp, xr, paints in placed:
+            x = xp // 2 + xr // 2
+            while True:
+                if y >= top + step:  # the band is done: hand it out, then clear it for the next
+                    yield band
+                    top += step
+                    band.fill(blank)
+                    continue
+                y0 = y - top
+                if paints.ndim == 1:  # one row: a plain slice costs half the 4-D view below
+                    band[y0 : y0 + cp, x : x + paints.size * cp] = paints if cp == 1 else np.repeat(paints, cp)
+                    break
+                # every cell a cp x cp square, written through a view of the block's pixels in this band
+                r, c = paints.shape
+                k = min(r, (step - y0) // cp)
+                band[y0 : y0 + k * cp, x : x + c * cp].reshape(k, cp, c, cp)[...] = paints[:k].reshape(k, 1, c, 1)
+                if k == r:
+                    break
+                y, paints = y + k * cp, paints[k:]
+        while top < h:
+            yield band[: h - top]
+            top += step
+            band.fill(blank)
+
+    return w, h, bands()
 
 
 def _pbm(panels: list[Panel], spec: RenderSpec) -> bytes:
     """Plain portable bitmap of the panels' ink bits: 1 (black) where inked, else 0.
 
-    Pixel rows are cut into lines of at most ``_PNM_LINE`` digits in one byte buffer
-    whose newlines are laid down first; a bit becomes its digit as it is copied in.
+    Pixel rows are cut into lines of at most ``_PNM_LINE`` digits. Each band of
+    the raster is written straight into the document, its bits turned into
+    digits as they are copied in, next to the newlines; the document is one
+    buffer of its known size, which becomes the returned bytes without a copy.
     """
-    bits = _raster(panels, spec, lambda panel: panel[2].view(np.uint8), blank=0)
-    h, w = bits.shape
+    w, h, bands = _raster(panels, spec, lambda panel: panel[2].view(np.uint8), blank=0)
     full, rest = divmod(w, _PNM_LINE)
     head = f"P1\n{w} {h}\n".encode("ascii")
     line = _PNM_LINE + 1
     row_bytes = full * line + (rest + 1 if rest else 0)
-    out = np.full(len(head) + h * row_bytes, ord("\n"), dtype=np.uint8)
+    doc = io.BytesIO()
+    doc.seek(len(head) + h * row_bytes - 1)
+    doc.write(b"\n")  # sizes the document once
+    out = np.frombuffer(doc.getbuffer(), dtype=np.uint8)
     out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     body = out[len(head) :].reshape(h, row_bytes)
-    full_lines = body[:, : full * line].reshape(h, full, line)  # a view: only splits an axis
-    np.add(bits[:, : full * _PNM_LINE].reshape(h, full, _PNM_LINE), ord("0"), out=full_lines[:, :, :_PNM_LINE])
-    np.add(bits[:, full * _PNM_LINE :], ord("0"), out=body[:, full * line : full * line + rest])
-    del bits  # the document and its bytes, not the canvas too, are the peak
-    return out.tobytes()
+    top = 0
+    for bits in bands:
+        rows = body[top : top + len(bits)]
+        top += len(bits)
+        lines = rows[:, : full * line].reshape(len(bits), full, line)  # a view: only splits an axis
+        np.add(bits[:, : full * _PNM_LINE].reshape(len(bits), full, _PNM_LINE), ord("0"), out=lines[:, :, :-1])
+        lines[:, :, -1] = ord("\n")
+        np.add(bits[:, full * _PNM_LINE :], ord("0"), out=rows[:, full * line : full * line + rest])
+        rows[:, -1] = ord("\n")
+    del out, body, rows, lines  # every view of the buffer: while one is alive, getvalue copies it
+    return doc.getvalue()
 
 
 # A gray's plain-PGM slot: a separator, its 1 to 3 digits and NUL padding, as
 # one uint32; _PGM_WIDTH counts the bytes of a slot that are written.
 _PGM_SLOTS = np.frombuffer(b"".join(f" {g}".encode().ljust(4, b"\0") for g in range(256)), dtype=np.uint32)
 _PGM_WIDTH = np.array([len(f" {g}") for g in range(256)], dtype=np.uint8)
-# pixels a block of whole rows, or one row: its temporaries stay near 0.5 MB each,
-# and a row of the canvas budget at 4 bytes a pixel keeps its offsets within int32
+# pixels a raster band of whole cell rows, or a PGM block of whole pixel rows (or one
+# row): its temporaries stay near 0.5 MB each, and a row of the canvas budget at 4 bytes
+# a pixel keeps its offsets within int32
 _PGM_BLOCK = 1 << 17
 # an SVG fill per gray level, in paint order, then the highlight's, so a paint of INK takes the last
 _SVG_FILLS = (*(f"#{g:02x}{g:02x}{g:02x}" for g in range(256)), "#1a1a1a")
@@ -291,11 +331,11 @@ def _pgm(panels: list[Panel], spec: RenderSpec) -> bytes:
     within ``_PNM_LINE`` bytes. The pixel rows are written in blocks of
     about ``_PGM_BLOCK`` pixels, each by table lookups alone.
     """
-    canvas = _raster(panels, spec, lambda panel: _paints(panel, 0), BLANK)
-    h, w = canvas.shape
-    step = max(1, _PGM_BLOCK // w)
+    w, h, bands = _raster(panels, spec, lambda panel: _paints(panel, 0), BLANK)
+    step = max(1, _PGM_BLOCK // w)  # a band of huge cells is more than one block
     parts = [f"P2\n{w} {h}\n255".encode("ascii")]
-    parts += [_pgm_lines(canvas[y : y + step].ravel(), w) for y in range(0, h, step)]
+    for band in bands:
+        parts += [_pgm_lines(band[y : y + step].ravel(), w) for y in range(0, len(band), step)]
     parts.append(b"\n")
     return b"".join(parts)
 
