@@ -256,11 +256,10 @@ def _raster(
         for y, xp, xr, paints in placed:
             x = xp // 2 + xr // 2
             while True:
-                if y >= top + step:  # the band is done: hand it out, then clear it for the next
+                while y >= top + step:  # the band is done: hand it out, then clear it for the next
                     yield band
                     top += step
                     band.fill(blank)
-                    continue
                 y0 = y - top
                 if paints.ndim == 1:  # one row: a plain slice costs half the 4-D view below
                     band[y0 : y0 + cp, x : x + paints.size * cp] = paints if cp == 1 else np.repeat(paints, cp)
