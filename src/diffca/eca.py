@@ -12,14 +12,13 @@ missing neighbors (an explicit sea of zeros), ``"periodic"`` wraps.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import MAX_PYRAMID_CELLS, RowLike, TooLarge, as_row
+from .engine import MAX_PYRAMID_CELLS, RowLike, TooLarge, as_integer, as_row
 from .patterns import HighlightMask
 
 __all__ = [
@@ -36,14 +35,6 @@ __all__ = [
 
 BOUNDARIES = ("zero", "periodic")
 _AGREEMENT_BLOCK = 1 << 16  # cone cells per pass of impulse_agreement: ~1 MB of int64 index temporaries
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a plain int through ``operator.index``; else a TypeError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} is an integer, got {value!r}") from None
 
 
 class OutOfRange(ValueError):
@@ -65,7 +56,7 @@ class EcaRule:
     number: int
 
     def __post_init__(self) -> None:
-        number = _integer(self.number, "rule number")
+        number = as_integer(self.number, "rule number")
         if not 0 <= number <= 255:
             raise OutOfRange(f"rule numbers run 0..255, got {number}")
         object.__setattr__(self, "number", number)  # a plain int, whatever integer type came in
@@ -85,10 +76,10 @@ RuleLike = Union[int, EcaRule]
 
 def impulse_row(width: int, index: int | None = None) -> np.ndarray:
     """A row of zeros with a single 1 (centered unless ``index`` is given)."""
-    width = _integer(width, "width")
+    width = as_integer(width, "width")
     if width < 1:
         raise ValueError("width is at least 1")
-    hot = width // 2 if index is None else _integer(index, "index")
+    hot = width // 2 if index is None else as_integer(index, "index")
     if not 0 <= hot < width:
         raise ValueError(f"impulse index {hot} outside a width-{width} row")
     row = np.zeros(width, dtype=np.uint8)
@@ -169,7 +160,7 @@ def eca_evolve(
     Raises :class:`TooLarge`, before allocating, when the diagram would
     hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
-    generations = _integer(generations, "generations")
+    generations = as_integer(generations, "generations")
     if generations < 0:
         raise ValueError("generations is non-negative")
     if boundary not in BOUNDARIES:
@@ -197,7 +188,7 @@ def impulse_agreement(mask: HighlightMask, impulse_index: int) -> tuple[float, f
     The cone is scored as a rectangle in blocks of whole rows, each block
     gathered from the mask through a sliding window over its row offsets.
     """
-    j0 = _integer(impulse_index, "impulse_index")
+    j0 = as_integer(impulse_index, "impulse_index")
     cells, starts = mask.packed
     n, h = mask.base_width, mask.height
     if not 0 <= j0 < n:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import contextlib
 import mmap
 import operator
+import threading
+import weakref
 from functools import cached_property
 from typing import Iterator, Sequence, Union
 
@@ -28,6 +30,7 @@ __all__ = [
     "RowLike",
     "TooLarge",
     "Triangle",
+    "as_integer",
     "as_row",
     "evolve",
     "make_symmetric",
@@ -38,9 +41,11 @@ CELL_DTYPE = np.uint64
 MAX_CELL = 2**64 - 1  # |a - b| <= max(a, b), so the input bound holds forever
 # 400 MB of uint64 cells: a full pyramid of up to 9 999 input cells fits
 MAX_PYRAMID_CELLS = 50_000_000
+# evolve re-reads the row's maximum this often, to move to a cheaper kernel as the range falls
+_RANGE_READ_EVERY = 16
 
 
-def _integer(value, name: str) -> int:
+def as_integer(value, name: str) -> int:
     """``value`` as a plain int through ``operator.index``; else a TypeError naming ``name``."""
     try:
         return operator.index(value)
@@ -95,6 +100,41 @@ def as_row(values: RowLike) -> np.ndarray:
     return arr.astype(CELL_DTYPE)
 
 
+class _Spares:
+    """Memory maps whose arrays are gone, kept for the next buffer: at most two.
+
+    A map's pages stay resident while it waits, so a buffer taken from it
+    needs no fresh zeroed pages from the OS.
+    """
+
+    keep = 2
+
+    def __init__(self) -> None:
+        self.maps: list[mmap.mmap] = []
+        # reentrant: a finalizer may hand a map back while this thread holds the lock
+        self.lock = threading.RLock()
+
+    def take(self, nbytes: int) -> mmap.mmap:
+        """The smallest spare of at least ``nbytes``; with none, drop every spare and map anew."""
+        with self.lock:
+            fits = [m for m in self.maps if len(m) >= nbytes]
+            if fits:
+                m = min(fits, key=len)
+                self.maps.remove(m)
+                return m
+            self.maps.clear()  # each map is unmapped as its last reference goes
+        m = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        with contextlib.suppress(OSError):  # a kernel without huge pages refuses the advice
+            m.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for large arrays: fewer page faults
+        return m
+
+    def give(self, m: mmap.mmap) -> None:
+        """Keep ``m``, whose array is being collected, dropping the oldest spare past ``keep``."""
+        with self.lock:
+            self.maps.append(m)
+            del self.maps[: -self.keep]
+
+
 class Triangle:
     """Rows that shrink by one cell per generation, packed into one buffer.
 
@@ -106,6 +146,7 @@ class Triangle:
     """
 
     _kind = "u"  # numpy dtype kind of every cell: unsigned; a HighlightMask's is "b"
+    _spares = _Spares()  # shared by every triangle type: a pyramid's map may serve a mask
 
     def __init__(self, rows: Sequence[np.ndarray]) -> None:
         sizes = np.fromiter(map(np.size, rows), dtype=np.intp)
@@ -127,20 +168,23 @@ class Triangle:
 
     @staticmethod
     def _buffer(size: int, dtype: np.dtype | type) -> np.ndarray:
-        """An uninitialised array of ``size`` cells; from 1 MiB on, in a memory map of its own.
+        """An uninitialised array of ``size`` cells; from 1 MiB on, in a memory map.
 
-        Freeing a map returns its pages at once, while malloc's heap keeps
-        freed buffers of a few MiB resident and grows with each new size.
-        Smaller ones stay on the heap: a map takes whole pages (mapping them too
-        added 0.5-1 MB to the benchmark's peak RSS) and one of a process's ~65k maps.
+        When the array and every view of it are gone, its map becomes a spare,
+        and the next buffer that fits takes the smallest spare instead of new
+        pages, which the OS would have to zero on first touch. At most two
+        spares are kept, and their pages stay resident while they wait; a
+        buffer that none fits drops them all first. Smaller buffers stay on
+        the heap: a map takes whole pages (mapping them too added 0.5-1 MB to
+        the benchmark's peak RSS) and one of a process's ~65k maps.
         """
         nbytes = size * np.dtype(dtype).itemsize
         if nbytes < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):  # small, or not Linux
             return np.empty(size, dtype)
-        m = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        with contextlib.suppress(OSError):  # a kernel without huge pages refuses the advice
-            m.madvise(mmap.MADV_HUGEPAGE)  # as numpy does for large arrays: fewer page faults
-        return np.frombuffer(m, dtype, count=size)
+        m = Triangle._spares.take(nbytes)
+        cells = np.frombuffer(m, dtype, count=size)  # views keep ``cells``, not only ``m``, alive
+        weakref.finalize(cells, Triangle._spares.give, m).atexit = False
+        return cells
 
     @property
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +233,11 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     and comes back as a one-row pyramid. The pyramid's cells have the
     narrowest unsigned dtype that holds the input's maximum (uint8 for
     digits): no generation outgrows it, since |a - b| <= max(a, b).
-    The kernel is chosen once, by that maximum: one XOR a generation on
-    0/1 rows (rule 102), a subtract and an abs through the signed view of
-    the same cells below half the dtype's range, else max - min.
+    The kernel follows the rows' maximum, read from generation 0 and every
+    16 generations after until it is at most 1: one XOR a generation on 0/1
+    rows (rule 102), a subtract and an abs through the signed view of the
+    same cells below half the dtype's range, else max - min. Rows only lose
+    range, so a kernel valid for one row stays valid for every later row.
     Raises :class:`TooLarge`, before computing any row, when the pyramid
     would hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
@@ -199,7 +245,7 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     n = row.size
     steps = n - 1
     if max_generations is not None:
-        max_generations = _integer(max_generations, "max_generations")
+        max_generations = as_integer(max_generations, "max_generations")
         if max_generations < 0:
             raise ValueError("max_generations is non-negative")
         steps = min(steps, max_generations)
@@ -209,15 +255,18 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     cells = Pyramid._buffer(size, np.min_scalar_type(top))
     cells[:n] = row  # generation 0 must not alias caller memory
     # below half the range, |a - b| <= top fits the signed type of the same width
-    signed = top < 2 ** (8 * cells.itemsize - 1)
-    work = cells.view(f"i{cells.itemsize}") if signed else cells
-    scratch = None if signed else np.empty(n - 1, cells.dtype)
+    half = 2 ** (8 * cells.itemsize - 1)
+    signed = cells.view(f"i{cells.itemsize}")
+    scratch = np.empty(n - 1, cells.dtype) if top >= half else None
     lo = 0
-    for w in range(n, n - steps, -1):  # row t is work[lo:lo + w]; row t + 1 follows it
+    for t, w in enumerate(range(n, n - steps, -1)):  # row t is cells[lo:lo + w]; row t + 1 follows it
+        if top > 1 and t and not t % _RANGE_READ_EVERY:
+            top = int(cells[lo : lo + w].max())  # a kernel valid for row t stays valid below it
+        work = signed if top < half else cells
         a, b, out = work[lo : lo + w - 1], work[lo + 1 : lo + w], work[lo + w : lo + 2 * w - 1]
         if top <= 1:  # on bits, |a - b| is a ^ b
             np.bitwise_xor(a, b, out=out)
-        elif signed:
+        elif top < half:
             np.abs(np.subtract(a, b, out=out), out=out)
         else:  # unsigned-safe |a - b| = max - min; plain subtraction would wrap
             np.subtract(np.maximum(a, b, out=out), np.minimum(a, b, out=scratch[: w - 1]), out=out)
@@ -242,7 +291,7 @@ def pascal_mod2(t: int, i: int) -> int:
     Independent oracle for impulse evolutions: a lone 1 in a sea of zeros
     propagates exactly as the parity of Pascal's triangle.
     """
-    t, i = _integer(t, "t"), _integer(i, "i")
+    t, i = as_integer(t, "t"), as_integer(i, "i")
     if t < 0 or i < 0 or i > t:
         raise IndexOutOfRange(f"(t={t}, i={i}) lies outside the triangle")
     return 1 if (i & (t - i)) == 0 else 0

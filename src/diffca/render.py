@@ -13,7 +13,6 @@ identical inputs give byte-identical output.
 from __future__ import annotations
 
 import io
-import operator
 from dataclasses import dataclass, replace
 from itertools import pairwise
 from typing import Callable, Iterator
@@ -21,7 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .eca import EcaDiagram
-from .engine import CELL_DTYPE, MAX_CELL, Pyramid, TooLarge
+from .engine import CELL_DTYPE, MAX_CELL, Pyramid, TooLarge, as_integer
 from .patterns import HighlightMask
 
 __all__ = [
@@ -81,10 +80,8 @@ class RenderSpec:
         for name, allowed in (("format", FORMATS), ("alignment", ALIGNMENTS), ("palette", PALETTES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} is one of {allowed}, got {getattr(self, name)!r}")
-        try:  # stored as a plain int, whatever integer type came in
-            object.__setattr__(self, "cell_px", operator.index(self.cell_px))
-        except TypeError:
-            raise TypeError(f"cell_px is an integer, got {self.cell_px!r}") from None
+        # stored as a plain int, whatever integer type came in
+        object.__setattr__(self, "cell_px", as_integer(self.cell_px, "cell_px"))
         if self.cell_px < 1:
             raise ValueError("cell_px is at least 1")
 

@@ -6,7 +6,9 @@ import hashlib
 import io
 import itertools
 import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,3 +478,30 @@ def test_every_argv_in_the_grammar_keeps_the_exit_contract(places, argv):
         assert text.startswith(("usage error: ", "usage: diffca")), text
     # the one parser main keeps still parses as a new one does
     assert outcome(cli._parser().parse_args, argv) == outcome(build_parser().parse_args, argv)
+
+
+# ------------------------------------------------------------ README
+
+
+def _readme_commands() -> list[list[str]]:
+    """Each ``diffca …`` line of README's command-line block, split as a shell would."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("diffca ")]
+
+
+def test_readme_command_block_shows_every_subcommand():
+    assert {argv[1] for argv in _readme_commands()} == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_every_readme_command_runs_and_leaves_an_artifact(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert argv[0] == "diffca"
+    assert main(argv[1:]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if "--out" in argv:
+        assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+    else:
+        assert out.strip()

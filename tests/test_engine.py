@@ -1,6 +1,10 @@
 """Core evolution rule, pyramid container, and binomial parity."""
 
 import itertools
+import math
+import mmap
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffca.eca import eca_evolve
+from diffca import engine
 from diffca.engine import (
     CELL_DTYPE,
     MAX_CELL,
@@ -16,13 +21,14 @@ from diffca.engine import (
     IndexOutOfRange,
     Pyramid,
     TooLarge,
+    Triangle,
     as_row,
     evolve,
     make_symmetric,
     pascal_mod2,
 )
 from diffca.expressions import parse_expression
-from diffca.patterns import match_row
+from diffca.patterns import highlight_pyramid, match_row
 
 # ------------------------------------------------------------ oracle
 #
@@ -398,6 +404,38 @@ def test_evolve_is_exact_at_each_kernel_edge(top, data):
     assert expected == []
 
 
+def _python_rows(values):
+    """Every row of the pyramid of ``values``, by per-cell ``abs(a - b)`` on Python ints."""
+    row = [int(v) for v in values]
+    while row:
+        yield row
+        row = [abs(a - b) for a, b in zip(row, row[1:])]
+
+
+# generations on either side of evolve's re-reads of the row's maximum (every 16)
+_READ_EDGES = (15, 16, 17, 31, 32, 33)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+@pytest.mark.parametrize("g", _READ_EDGES)
+def test_evolve_is_exact_where_the_range_falls_near_a_read(bits, g):
+    dtype, half = np.dtype(f"u{bits // 8}"), 2 ** (bits - 1)
+    # row t of [c(127 + g), c, 0, ...] is [c(127 + g - t), c, 0, ...]: below half from t = g on
+    c = 2 ** (bits - 8)
+    halving = [c * (127 + g), c] + [0] * 40
+    # cell j of row 0 is C(k - j, g), so cell j of row t is C(k - j - t, g - t): at most 1 from t = g on
+    k = next(k for k in itertools.count(g + 1) if np.min_scalar_type(math.comb(k, g)) == dtype)
+    to_bits = [math.comb(k - j, g) for j in range(k + 1)] + [0] * 40
+    for values, falls_at in ((halving, lambda top: top < half), (to_bits, lambda top: top <= 1)):
+        p = evolve(values)
+        assert p.packed[0].dtype == dtype and len(p) == len(values)
+        tops = []
+        for row, expected in zip(p, _python_rows(values)):
+            assert row.tolist() == expected
+            tops.append(max(expected))
+        assert [falls_at(top) for top in tops].index(True) == g, tops
+
+
 def _parity_by_jump_ahead(values: list[int], t: int) -> int:
     """Row ``t`` of the pyramid mod 2, cell i at bit i, by the Lucas jump-ahead.
 
@@ -439,3 +477,119 @@ def test_wide_bit_rows_match_the_parity_jump_ahead_at_every_depth(n):
         for t in range(n):
             assert _packed_parity(p.rows[t]) == _parity_by_jump_ahead(values, t), t
 
+
+
+# ------------------------------------------------------ recycled maps
+
+
+@pytest.fixture
+def spares(monkeypatch):
+    """A fresh, empty list of spare maps for the buffers the test allocates."""
+    if not hasattr(mmap, "MADV_HUGEPAGE"):
+        pytest.skip("buffers are memory maps on Linux only")
+    fresh = engine._Spares()
+    monkeypatch.setattr(Triangle, "_spares", fresh)
+    return fresh
+
+
+def _map_of(t: Triangle):
+    base = t.packed[0].base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+def test_recycled_maps_show_no_stale_cells(spares):
+    rng = np.random.default_rng(21)
+    old = evolve(rng.integers(0, MAX_CELL, 2000, dtype=CELL_DTYPE, endpoint=True))
+    stale = _map_of(old)
+    del old
+    assert spares.maps == [stale]
+    for n, top in ((1900, 9), (1700, 1), (1500, 9), (1800, 1)):
+        values = rng.integers(0, top + 1, n).tolist()
+        p = evolve(values)
+        assert len(p) == n
+        for row, expected in zip(p, _python_rows(values)):
+            assert row.tolist() == expected
+        a, b, c = values[n // 2 : n // 2 + 3]
+        for pattern in ([a], [a, b], [a, b, c], [300]):  # 300 lies past the uint8 cells
+            mask = highlight_pyramid(p, pattern)
+            for t, row in enumerate(p):
+                assert np.array_equal(mask[t], match_row(row, pattern)), (n, pattern, t)
+            del mask
+        del p
+    assert any(m is stale for m in spares.maps)
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [lambda p: p.rows[3], lambda p: p.packed[0], lambda p: memoryview(p.packed[0])],
+    ids=["row", "packed", "memoryview"],
+)
+def test_a_view_kept_past_its_pyramid_keeps_its_values(spares, keep):
+    rng = np.random.default_rng(7)
+    p = evolve(rng.integers(0, 10, 1500).tolist())
+    kept = keep(p)
+    want = np.array(kept)
+    del p
+    assert spares.maps == []  # the kept view holds the map
+    for _ in range(3):  # each pyramid and mask is collected at once, and its map reused
+        highlight_pyramid(evolve(rng.integers(0, 10, 1500).tolist()), [3])
+    assert np.array_equal(np.asarray(kept), want)
+
+
+def test_spares_keep_at_most_two_maps_and_serve_the_smallest_that_fits(spares):
+    # uint8 digit pyramids of these widths fill maps of 1.1-1.6 MB, one each
+    pyramids = [evolve(np.full(n, 9, np.uint8)) for n in (1500, 1600, 1700, 1800)]
+    sizes = [p.packed[0].nbytes for p in pyramids]
+    assert [len(_map_of(p)) for p in pyramids] == sizes and spares.maps == []
+    for count, k in enumerate((0, 1, 3, 2), 1):
+        pyramids[k] = None
+        assert len(spares.maps) == min(count, 2)
+    assert [len(m) for m in spares.maps] == [sizes[3], sizes[2]]  # the oldest spares went first
+    fits = evolve(np.full(1550, 9, np.uint8))  # both spares fit; it takes the smaller
+    assert len(_map_of(fits)) == sizes[2] and [len(m) for m in spares.maps] == [sizes[3]]
+    wider = evolve(np.full(1900, 9, np.uint8))  # no spare fits: every spare is dropped first
+    assert len(_map_of(wider)) == wider.packed[0].nbytes and spares.maps == []
+    del fits, wider
+    assert len(spares.maps) == 2
+
+
+def test_two_threads_evolving_and_highlighting_at_once_match_the_oracle(spares):
+    rng = np.random.default_rng(3)
+    inputs = (
+        [rng.integers(0, 10, 1500), rng.integers(0, 2, 1700)],
+        [rng.integers(0, MAX_CELL, 1500, dtype=CELL_DTYPE, endpoint=True), rng.integers(0, 10, 1600)],
+    )
+
+    def case(row):
+        rows = _uint64_evolution(row.tolist())
+        v = int(row[row.size // 2])
+        return row, v, np.concatenate(rows), np.concatenate([r == v for r in rows])
+
+    cases = [[case(row) for row in rows] for rows in inputs]
+    errors = []
+
+    def work(own):
+        try:
+            for i in range(8):
+                row, v, cells, hits = own[i % 2]
+                p = evolve(row)
+                mask = highlight_pyramid(p, [v])
+                if not (np.array_equal(p.packed[0], cells) and np.array_equal(mask.packed[0], hits)):
+                    errors.append(f"{row.size} cells, pass {i}: differs from the oracle")
+                del p, mask
+        except Exception as err:  # reported by the main thread
+            errors.append(repr(err))
+
+    threads = [threading.Thread(target=work, args=(own,)) for own in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(spares.maps) <= 2
