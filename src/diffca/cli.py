@@ -9,8 +9,10 @@ Subcommands:
 * ``selfcheck`` re-derive the built-in reference results
 * ``fixtures``  list the built-in inputs
 
-Exit status: 0 on success, 1 for parse/value/IO failures (diagnostic on
-stderr names the failing component), 2 for invalid flag combinations.
+Each ``_cmd_*`` handler returns ``(artifact, lines)`` and writes nothing;
+``main`` alone writes stdout, stderr and ``--out`` and sets the exit status:
+0 on success, 1 for parse/value/IO failures and a failing ``selfcheck`` (one
+stderr line names the failing component), 2 for invalid flag combinations.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULT_CELL_PX = {"ascii": 1, "pbm": 1, "pgm": 1, "svg": 12}
+_Output = tuple[str | bytes | None, list[str]]  # the artifact for --out or stdout, then stdout lines
 
 
 def _render_spec(args: argparse.Namespace) -> RenderSpec:
@@ -105,27 +108,19 @@ def _render_spec(args: argparse.Namespace) -> RenderSpec:
     )
 
 
-def _emit(artifact: str | bytes, out: str | None) -> None:
-    if out is not None:
-        with open(out, "wb") as f:  # text and its newline written apart: no second copy of the text
-            f.writelines([artifact] if isinstance(artifact, bytes) else [artifact.encode("utf-8"), b"\n"])
-    elif isinstance(artifact, bytes):
-        sys.stdout.buffer.write(artifact)
-        sys.stdout.buffer.flush()
-    else:
-        print(artifact)
+class _UsageError(Exception):
+    """An invalid flag combination."""
 
 
-def _usage_error(message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    return 2
+class _SelfcheckFailed(Exception):
+    """A built-in reference result no longer re-derives."""
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> _Output:
     if args.format == "pbm" and not args.pattern:
-        return _usage_error("--format pbm needs --pattern")
+        raise _UsageError("--format pbm needs --pattern")
     if args.format == "pgm" and args.pattern:
-        return _usage_error("--format pgm renders values, not matches; drop --pattern")
+        raise _UsageError("--format pgm renders values, not matches; drop --pattern")
     if args.input is not None:
         row = parse_expression(args.input)
     elif args.file is not None:
@@ -136,18 +131,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         row = make_symmetric(row)
     pyramid = evolve(row, max_generations=args.max_generations)
     mask = highlight_pyramid(pyramid, parse_expression(args.pattern)) if args.pattern else None
-    _emit(render_pyramid(pyramid, mask, _render_spec(args)), args.out)
-    return 0
+    return render_pyramid(pyramid, mask, _render_spec(args)), []
 
 
-def _cmd_eca(args: argparse.Namespace) -> int:
+def _cmd_eca(args: argparse.Namespace) -> _Output:
     rule = rule_table(args.rule)
     if args.generations < 0:
         raise ValueError("generations is non-negative")
     row = None
     if args.initial is not None:
         if args.width is not None:
-            return _usage_error("--initial already fixes the width; drop --width")
+            raise _UsageError("--initial already fixes the width; drop --width")
         row = parse_expression(args.initial)
         width = row.size
     else:
@@ -156,8 +150,7 @@ def _cmd_eca(args: argparse.Namespace) -> int:
     TooLarge.check((args.generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
     initial = impulse_row(width) if row is None else row
     diagram = eca_evolve(initial, rule, args.generations, boundary=args.boundary)
-    _emit(render_eca(diagram, _render_spec(args)), args.out)
-    return 0
+    return render_eca(diagram, _render_spec(args)), []
 
 
 def _is_impulse(row: np.ndarray) -> int | None:
@@ -166,7 +159,7 @@ def _is_impulse(row: np.ndarray) -> int | None:
     return int(hot[0]) if hot.size == 1 and row[hot[0]] == 1 else None
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> _Output:
     row = load_fixture(args.fixture)
     rule = rule_table(args.rule)
     pyramid = evolve(row)
@@ -175,15 +168,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     diagram = eca_evolve(initial, rule, row.size - 1, boundary=args.boundary)
     diagram_label = f"rule {rule.number}, {args.boundary} boundary"
     pyramid_label = f"difference pyramid: {args.fixture}, pattern {args.pattern}"
-    _emit(render_compare(diagram, pyramid, mask, _render_spec(args), diagram_label, pyramid_label), args.out)
+    lines = []
     if (j0 := _is_impulse(row)) is not None:
         direct, complement = impulse_agreement(mask, j0)
-        print(f"in-cone agreement vs binomial parity: {direct:.6f}")
-        print(f"in-cone complement agreement: {complement:.6f}")
-    return 0
+        lines = [f"in-cone agreement vs binomial parity: {direct:.6f}",
+                 f"in-cone complement agreement: {complement:.6f}"]
+    return render_compare(diagram, pyramid, mask, _render_spec(args), diagram_label, pyramid_label), lines
 
 
-def _cmd_selfcheck(args: argparse.Namespace) -> int:
+def _cmd_selfcheck(args: argparse.Namespace) -> _Output:
     a1 = load_fixture("a1")
     j0, pyramid = _is_impulse(a1), evolve(a1)
     ones = highlight_pyramid(pyramid, parse_expression("1-"))
@@ -199,28 +192,26 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
             all(np.array_equal(parse_expression(serialize_expression(load_fixture(f))), load_fixture(f))
                 for f in FIXTURE_IDS),
     }
-    for name, ok in checks.items():
-        print(f"{'ok  ' if ok else 'FAIL'} {name}")
-    failures = sum(not ok for ok in checks.values())
-    print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
-    return 0 if failures == 0 else 1
+    if failed := [name for name, ok in checks.items() if not ok]:
+        raise _SelfcheckFailed(f"{len(failed)} check(s) failed: {'; '.join(failed)}")
+    return None, [*(f"ok   {name}" for name in checks), "all checks passed"]
 
 
-def _cmd_fixtures(args: argparse.Namespace) -> int:
-    for fid in FIXTURE_IDS:
-        row = load_fixture(fid)
-        print(f"{fid:<10} {row.size:>4} cells  {serialize_expression(row)}")
-    return 0
+def _cmd_fixtures(args: argparse.Namespace) -> _Output:
+    rows = {fid: load_fixture(fid) for fid in FIXTURE_IDS}
+    return None, [f"{fid:<10} {row.size:>4} cells  {serialize_expression(row)}" for fid, row in rows.items()]
 
 
 _COMPONENTS: tuple[tuple[type[Exception], str], ...] = (
-    (ExpressionError, "expression"),
-    (UnknownFixture, "fixture"),
-    (OutOfRange, "rule"),
-    (NonBinaryCell, "initial row"),
-    (TooLarge, "size"),
-    (OSError, "io"),
-    (ValueError, "input"),
+    (_UsageError, "usage error"),
+    (_SelfcheckFailed, "error: selfcheck"),
+    (ExpressionError, "error: expression"),
+    (UnknownFixture, "error: fixture"),
+    (OutOfRange, "error: rule"),
+    (NonBinaryCell, "error: initial row"),
+    (TooLarge, "error: size"),
+    (OSError, "error: io"),
+    (ValueError, "error: input"),
 )
 
 
@@ -233,11 +224,22 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        artifact, lines = args.handler(args)
+        if getattr(args, "out", None) is not None:  # selfcheck and fixtures have no --out
+            with open(args.out, "wb") as f:  # text and its newline written apart: no second copy of the text
+                f.writelines([artifact] if isinstance(artifact, bytes) else [artifact.encode("utf-8"), b"\n"])
+        elif isinstance(artifact, bytes):
+            sys.stdout.buffer.write(artifact)
+            sys.stdout.buffer.flush()
+        elif artifact is not None:
+            lines = [artifact, *lines]
+        for line in lines:
+            print(line)
     except tuple(exc for exc, _ in _COMPONENTS) as err:
-        component = next(name for exc, name in _COMPONENTS if isinstance(err, exc))
-        print(f"error: {component}: {err}", file=sys.stderr)
-        return 1
+        prefix = next(name for exc, name in _COMPONENTS if isinstance(err, exc))
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return 2 if isinstance(err, _UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

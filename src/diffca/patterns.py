@@ -13,7 +13,7 @@ import numpy as np
 
 from .engine import Pyramid, RowLike, Triangle, as_row
 
-__all__ = ["HighlightMask", "highlight_pyramid", "match_row"]
+__all__ = ["HighlightMask", "highlight_pyramid"]
 
 
 class HighlightMask(Triangle):
@@ -50,17 +50,6 @@ def _cover(cells: np.ndarray, s: np.ndarray, starts: np.ndarray, out: np.ndarray
     for j in range(k):
         out[j : m + j] |= hits  # each occurrence covers its k cells
     return out
-
-
-def match_row(row: RowLike, pattern: RowLike) -> np.ndarray:
-    """Boolean array: True where the cell is covered by an occurrence.
-
-    A pattern longer than the row matches nowhere. Overlapping
-    occurrences all count; coverage is cellwise, so only patterns of
-    length >= 2 can reveal the difference.
-    """
-    r = as_row(row)
-    return _cover(r, as_row(pattern), np.array([0, r.size]), np.empty(r.size, dtype=bool))
 
 
 def highlight_pyramid(p: Pyramid, pattern: RowLike) -> HighlightMask:

@@ -5,8 +5,11 @@ import contextlib
 import hashlib
 import io
 import itertools
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -21,7 +24,10 @@ from diffca.eca import eca_evolve, impulse_row
 from diffca.engine import evolve
 from diffca.fixtures import FIXTURE_IDS, load_fixture
 from diffca.patterns import highlight_pyramid
-from diffca.render import RenderSpec, render_pbm
+from diffca.render import RenderSpec, render_compare, render_pbm
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(*argv):
@@ -267,6 +273,17 @@ def test_selfcheck_passes_and_reports(capsys):
     assert out.rstrip().endswith("all checks passed")
 
 
+def test_a_failing_selfcheck_exits_1_and_names_the_check(monkeypatch, capsys):
+    wrong = [list(row) for row in cli.DEFAULT_EVOLUTION]
+    wrong[-1][0] += 1
+    monkeypatch.setattr(cli, "DEFAULT_EVOLUTION", wrong)
+    assert run_cli("selfcheck") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: selfcheck: 1 check(s) failed: "
+                   "default-p evolution matches the stored reference triangle\n")
+
+
 def test_fixtures_lists_every_id(capsys):
     assert run_cli("fixtures") == 0
     out = capsys.readouterr().out
@@ -282,6 +299,31 @@ def test_fixture_rows_match_the_listing(capsys):
     assert by_id["p1"] == "2-0-1-7-2-0-1-8"
     assert by_id["a1"].count("1") == 1
     assert load_fixture("a1").sum() == 1
+
+
+# ----------------------------------------------------------- one writer
+
+# each handler once, with the kind of artifact and the number of stdout lines it returns
+HANDLER_CALLS = [
+    (["run", "--input", "2-0-1-4", "--pattern", "1-", "--format", "pbm"], bytes, 0),
+    (["eca", "--rule", "90", "--generations", "2"], str, 0),
+    (["compare", "--fixture", "a1", "--pattern", "1-", "--rule", "90"], str, 2),
+    (["selfcheck"], type(None), 6),
+    (["fixtures"], type(None), len(FIXTURE_IDS)),
+]
+
+
+@pytest.mark.parametrize("argv, kind, count", HANDLER_CALLS, ids=[" ".join(c[0]) for c in HANDLER_CALLS])
+def test_handlers_return_their_output_and_main_alone_writes_it(argv, kind, count, capsysbinary):
+    args = build_parser().parse_args(argv)
+    artifact, lines = args.handler(args)
+    assert capsysbinary.readouterr() == (b"", b"")
+    assert isinstance(artifact, kind) and len(lines) == count
+    # main writes the artifact (a text one with its newline), then one line each
+    head = artifact if isinstance(artifact, bytes) else b"" if artifact is None else (artifact + "\n").encode()
+    expected = head + "".join(f"{line}\n" for line in lines).encode()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr() == (expected, b"")
 
 
 # ---------------------------------------------------------- transcripts
@@ -334,6 +376,35 @@ def transcript(argv, capsysbinary):
 @pytest.mark.parametrize("argv", list(TRANSCRIPTS))
 def test_cli_transcripts_are_pinned(argv, capsysbinary):
     assert transcript(argv, capsysbinary) == TRANSCRIPTS[argv]
+
+
+# --------------------------------------------------------- a real process
+
+
+def run_process(*argv):
+    """``python -m diffca.cli`` in a fresh process against the package in ``src``, warnings as errors."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-W", "error", "-m", "diffca.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+
+
+def test_a_process_writes_a_binary_figure_then_its_text_lines():
+    done = run_process("compare", "--fixture", "a1", "--pattern", "1-", "--rule", "90", "--format", "pbm")
+    assert (done.returncode, done.stderr) == (0, b"")
+    row = load_fixture("a1")
+    pyramid = evolve(row)
+    figure = render_compare(eca_evolve(row, 90, row.size - 1), pyramid, highlight_pyramid(pyramid, [1]),
+                            RenderSpec(format="pbm"))
+    assert done.stdout == figure + (b"in-cone agreement vs binomial parity: 1.000000\n"
+                                    b"in-cone complement agreement: 0.000000\n")
+
+
+def test_a_process_reports_a_bad_expression_without_a_traceback():
+    done = run_process("run", "--input", "2--1")
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.startswith(b"error: expression: ")
+    assert b"Traceback" not in done.stderr and done.stderr.count(b"\n") == 1
 
 
 # -------------------------------------------------------- parser reuse
@@ -485,7 +556,7 @@ def test_every_argv_in_the_grammar_keeps_the_exit_contract(places, argv):
 
 def _readme_commands() -> list[list[str]]:
     """Each ``diffca …`` line of README's command-line block, split as a shell would."""
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("diffca ")]
 
@@ -505,3 +576,50 @@ def test_every_readme_command_runs_and_leaves_an_artifact(argv, tmp_path, monkey
         assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
     else:
         assert out.strip()
+
+
+def test_readme_library_block_prints_its_figure():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library.*?```python\n(.*?)```", text, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue() == "2 # 1 7 # 4\n 2 1 6 7 4\n  1 5 1 3\n   4 4 2\n    # 2\n     2\n"
+
+
+def readme_count(phrase: str) -> int:
+    """The number matched by the one group of ``phrase`` in README's prose, digit groups joined."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    return int(re.search(phrase, text).group(1).replace(" ", ""))
+
+
+def zeros(n: int) -> str:
+    return "-".join(["0"] * n)
+
+
+def triangle(n: int) -> int:
+    return n * (n + 1) // 2
+
+
+def test_readme_size_edges_hold_on_both_sides(monkeypatch, capsys):
+    cells = readme_count(r"at most (\d[\d ]*) input cells without `--max-generations`")
+    generations = readme_count(r"`diffca eca` alone stops near `--generations (\d+)`")
+    svg_cells = readme_count(r"`run --format svg` stops above (\d[\d ]*) input cells")
+    assert (cells, generations, svg_cells) == (9_999, 5_000, 2_293)
+    # one cell past the SVG edge is refused; its count is cells x the longest rect, so the edge fits
+    assert run_cli("run", "--input", zeros(svg_cells + 1), "--format", "svg") == 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"error: size: ([\d,]+) SVG bytes exceed the budget of ([\d,]+)\n", err)
+    count, budget = (int(v.replace(",", "")) for v in found.groups())
+    rect, rest = divmod(count, triangle(svg_cells + 1))
+    assert rest == 0 and triangle(svg_cells) * rect <= budget < count
+    assert run_cli("run", "--input", zeros(cells + 1)) == 1
+    assert "pyramid cells exceed" in capsys.readouterr().err
+    assert run_cli("eca", "--rule", "90", "--generations", str(generations)) == 1
+    assert "diagram cells exceed" in capsys.readouterr().err
+    # the edges themselves pass every budget; their ~50 MB ascii figures are not drawn
+    monkeypatch.setattr(cli, "render_pyramid", lambda *args: "")
+    monkeypatch.setattr(cli, "render_eca", lambda *args: "")
+    assert run_cli("run", "--input", zeros(cells)) == 0
+    assert run_cli("eca", "--rule", "90", "--generations", str(generations - 1)) == 0
+    assert capsys.readouterr() == ("\n\n", "")
