@@ -139,13 +139,6 @@ class EcaDiagram:
     rule: EcaRule
     boundary: str
 
-    @property
-    def width(self) -> int:
-        return self.rows.shape[1]
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
 
 def eca_evolve(
     initial: RowLike,

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .eca import EcaDiagram
-from .engine import CELL_DTYPE, MAX_CELL, Pyramid, TooLarge, as_integer
+from .engine import MAX_CELL, Pyramid, TooLarge, as_integer
 from .patterns import HighlightMask
 
 __all__ = [
@@ -49,7 +49,6 @@ GRID_COLOR = "#c8c8c8"  # svg cell outlines, drawn from cell_px 6 up
 _PNM_LINE = 70  # plain-format line length cap
 # an 8192 x 8192 raster: 64 MiB as uint8, before its plain-text serialization
 MAX_CANVAS_PIXELS = 8192 * 8192
-_ASCII_BY_VALUE = 1 << 16  # ascii tokens are tabulated by value below this maximum
 _SHADE_BLOCK = 1 << 17  # cells a block of shaded rows holds at most: 1 MB a temporary at uint64
 
 # A paint is INK (highlighted, or 1 in a diagram) or a gray level from 0
@@ -111,45 +110,42 @@ def render_ascii(
     cells, starts = p.packed
     matched = None if mask is None else mask.packed[0]
     if matched is not None and spec.palette == "mask":
-        # the mask itself picks '.' or '#'
-        width, index, matched = 1, matched.view(np.uint8), None
-        tokens = np.frombuffer(f"{EMPTY_GLYPH} {FILLED_GLYPH} ".encode(), dtype="V2")
+        width = 1
+        tokens = np.full(cells.size, np.void(f"{EMPTY_GLYPH} ".encode()))
     else:
         # every token is padded to the longest: one glyph, or the largest printed value
         printed = True if matched is None else ~matched
         width = len(str(int(cells.max(initial=0, where=printed))))
-        # tokens by value while the table stays small; past that, only the values present
-        if (top := int(cells.max())) < _ASCII_BY_VALUE:
-            index, tokens = cells, _tokens(np.arange(top + 1, dtype=CELL_DTYPE), width)
-        else:
-            keys, index = np.unique(cells, return_inverse=True)
-            tokens = _tokens(keys, width)
+        tokens = _tokens(cells, width)
+    if matched is not None:
+        tokens[matched] = np.void(f"{FILLED_GLYPH:>{width}} ".encode())
     half = (width + 2) // 2  # half the cell pitch (token + one space), rounded up
-    # a typed index: np.where widens narrow cells to hold it, where 255 + 1 would wrap in uint8
-    filled = np.min_scalar_type(len(tokens) - 1).type(len(tokens) - 1)
     lines = []
     for t, (a, b) in enumerate(pairwise(starts.tolist())):
-        row = index[a:b] if matched is None else np.where(matched[a:b], filled, index[a:b])
         indent = b" " * (t * half) if spec.alignment == "centered" else b""
-        lines.append(indent + tokens.take(row).tobytes()[:-1])  # drop the last token's space
+        lines.append(indent + tokens[a:b].tobytes()[:-1])  # drop the last token's space
+    del tokens  # the lines and the text alone, not the tokens too, while they join
     text = b"\n".join(lines)
     del lines  # the text alone, not the lines too, while it decodes
     return text.decode("ascii")
 
 
-def _tokens(keys: np.ndarray, width: int) -> np.ndarray:
-    """Text tokens, one ``width + 1``-byte element for each key and one more.
+def _tokens(cells: np.ndarray, width: int) -> np.ndarray:
+    """One ``width + 1``-byte token a cell, each an element of the returned void array.
 
-    Token k is ``keys[k]`` right-justified in ``width`` bytes, then a space
-    (a key of more digits keeps its last ``width`` ones); the extra last
-    token is :data:`FILLED_GLYPH`'s.
+    Token k is ``cells[k]`` right-justified in ``width`` bytes, then a space
+    (a value of more digits keeps its last ``width`` ones). The digits are
+    peeled from a copy of the cells in their own dtype, units first.
     """
-    tokens = np.full((keys.size + 1, width + 1), ord(" "), dtype=np.uint8)
-    tokens[-1, width - 1] = ord(FILLED_GLYPH)
-    rest = keys.astype(CELL_DTYPE)
-    for col in range(width - 1, -1, -1):  # units first; a leading zero stays a space
-        digits = (rest % 10).astype(np.uint8) + ord("0")
-        tokens[:-1, col] = digits if col == width - 1 else np.where(rest > 0, digits, ord(" "))
+    tokens = np.empty((cells.size, width + 1), dtype=np.uint8)
+    tokens[:, width] = ord(" ")
+    rest = cells.copy()
+    for col in range(width - 1, -1, -1):
+        column = tokens[:, col]
+        np.remainder(rest, 10, out=column, casting="unsafe")
+        column += ord("0")
+        if col < width - 1:
+            column[rest == 0] = ord(" ")  # a leading zero
         rest //= 10
     return tokens.view(f"V{width + 1}").ravel()
 
@@ -163,7 +159,7 @@ Panel = tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]
 
 def _diagram_panel(d: EcaDiagram) -> Panel:
     cells = d.rows.ravel()
-    return cells, np.arange(len(d) + 1) * d.width, cells.view(bool), False
+    return cells, np.arange(d.rows.shape[0] + 1) * d.rows.shape[1], cells.view(bool), False
 
 
 def _paints(panel: Panel, ink: int) -> np.ndarray:
@@ -437,7 +433,7 @@ def render_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> str | bytes:
     spec = spec or RenderSpec()
     if spec.format == "ascii":
         # one glyph per cell and a newline after each row, the last one dropped
-        text = np.full((len(d), d.width + 1), ord("\n"), dtype=np.uint8)
+        text = np.full((d.rows.shape[0], d.rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
         glyphs = np.frombuffer((EMPTY_GLYPH + FILLED_GLYPH).encode(), np.uint8)
         np.take(glyphs, d.rows, out=text[:, :-1], mode="clip")  # cells are 0 or 1: no bounds check needed
         return text.tobytes()[:-1].decode("ascii")

@@ -156,8 +156,6 @@ def test_impulse_row_takes_integers_only():
 def test_evolve_keeps_width_and_grows_one_row_per_generation():
     d = eca_evolve(impulse_row(9), 90, 4)
     assert isinstance(d, EcaDiagram)
-    assert d.width == 9
-    assert len(d) == 5
     assert d.rows.shape == (5, 9)
     assert d.rows[0].tolist() == impulse_row(9).tolist()
 
@@ -184,7 +182,7 @@ def test_evolve_refuses_a_diagram_over_the_cell_budget_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < row.nbytes  # the row was not even copied
-    assert len(eca_evolve(row, 90, 1)) == 2
+    assert eca_evolve(row, 90, 1).rows.shape[0] == 2
 
 
 def test_evolve_memory_stays_near_the_diagram_it_returns():
@@ -202,7 +200,7 @@ def test_evolve_memory_stays_near_the_diagram_it_returns():
 def test_evolve_names_a_generations_argument_that_is_not_an_integer(generations):
     with pytest.raises(TypeError, match="generations"):
         eca_evolve([0, 1, 0], 90, generations)
-    assert len(eca_evolve([0, 1, 0], 90, np.int64(1))) == 2
+    assert eca_evolve([0, 1, 0], 90, np.int64(1)).rows.shape[0] == 2
 
 
 @pytest.mark.parametrize("initial", [5, iter([0, 1])], ids=["int", "iterator"])

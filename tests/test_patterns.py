@@ -59,7 +59,7 @@ def test_match_row_agrees_with_the_window_scan():
         assert got.tolist() == naive_flags(row, pattern), (row, pattern)
 
 
-def test_match_row_scans_a_narrow_row_in_its_own_dtype():
+def test_highlight_scans_a_narrow_row_in_its_own_dtype():
     rng = np.random.default_rng(11)
     for dtype in (np.uint8, np.uint16, np.uint32):
         row = rng.integers(0, 4, size=40).astype(dtype)
@@ -217,6 +217,7 @@ def test_pattern_values_past_the_cells_dtype_match_nowhere():
         assert mask.count() == 0
         # the mask and the cast pattern alone: the cells are never compared, widened or not
         assert peak < (hits.nbytes if hits.flags.owndata else 0) + 8 * 300
+        del mask, hits  # so the next call may reuse their map, as it does after other tests
 
 
 def test_congruence_notices_mismatched_pyramids():

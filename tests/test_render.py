@@ -99,12 +99,12 @@ def _ascii_by_cell(p, mask, spec: RenderSpec) -> str:
     st.integers(1, 2),
 )
 @example([MAX_CELL, 0, 7], 0, 1)
-@example([2**16 - 1, 3, 2**16 - 2], 1, 1)  # the largest maximum indexed by value
-@example([255, 3, 254], 1, 1)  # uint8 cells, whose '#' index 256 needs a wider gather
-@example([2**16, 3, 2**16 - 1], 1, 1)  # the smallest maximum indexed through np.unique
+@example([2**16 - 1, 3, 2**16 - 2], 1, 1)  # uint16 cells at their maximum
+@example([255, 3, 254], 1, 1)  # uint8 cells at their maximum, peeled in uint8
+@example([2**16, 3, 2**16 - 1], 1, 1)  # the smallest maximum held in uint32 cells
 @example([MAX_CELL, 7, MAX_CELL, 0], 0, 2)  # full range, masked
-@example([MAX_CELL, MAX_CELL], 0, 1)  # matched values wider than every printed one, by np.unique
-@example([60000, 60000], 0, 1)  # and by value
+@example([MAX_CELL, MAX_CELL], 0, 1)  # matched values wider than every printed one: cut, then overwritten
+@example([60000, 60000], 0, 1)  # and in uint16 cells
 @settings(max_examples=150, deadline=None)
 def test_ascii_matches_a_per_cell_reference(values, start, k):
     p = evolve(values)
@@ -126,6 +126,24 @@ def test_ascii_peak_memory_stays_near_the_text():
     finally:
         tracemalloc.stop()
     assert peak < 2.12 * len(text)
+
+
+def test_ascii_peak_memory_on_full_range_cells_stays_near_the_text():
+    # 21 bytes a token: the text outweighs the uint64 cells, so no per-cell temporary may add much
+    row = np.random.default_rng(4).integers(0, MAX_CELL, 400, dtype=np.uint64, endpoint=True)
+    row[150] = MAX_CELL
+    p = evolve(row)
+    mask = highlight_pyramid(p, [MAX_CELL])
+    assert mask.count() == 1
+    for m in (None, mask):
+        for alignment in ("centered", "left"):
+            tracemalloc.start()
+            try:
+                text = render_ascii(p, m, RenderSpec(alignment=alignment))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * len(text), (m is not None, alignment)
 
 
 def test_ascii_rejects_foreign_masks():
