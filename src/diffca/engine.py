@@ -43,6 +43,8 @@ MAX_CELL = 2**64 - 1  # |a - b| <= max(a, b), so the input bound holds forever
 MAX_PYRAMID_CELLS = 50_000_000
 # evolve re-reads the row's maximum this often, to move to a cheaper kernel as the range falls
 _RANGE_READ_EVERY = 16
+# rows evolve computes per band once they are 0/1: a power of two, for the Lucas doubling
+_BAND = 64
 
 
 def as_integer(value, name: str) -> int:
@@ -221,9 +223,42 @@ class Triangle:
 class Pyramid(Triangle):
     """Triangular space-time diagram of the difference rule: rows of cell values."""
 
+    # (generation, maximum) pairs evolve read; no row at or below a generation exceeds its
+    # maximum. A pyramid packed from loose rows has none, so nothing may be assumed of it.
+    _tops: tuple[tuple[int, int], ...] = ()
+
     def to_lists(self) -> list[list[int]]:
         """Rows as plain ``int`` lists (handy for comparisons and JSON)."""
         return [r.tolist() for r in self.rows]
+
+
+def _bit_bands(cells: np.ndarray, lo: int, w: int, rows: int) -> None:
+    """Write the ``rows`` generations after the 0/1 row ``cells[lo:lo + w]`` behind it in ``cells``.
+
+    On bits the rule is XOR (rule 102), and an additive rule jumps a power of two at once:
+    row j + k is row j XOR itself shifted k cells for k = 2**m (Lucas). The rows go through a
+    uint8 scratch of two bands of ``_BAND`` rows: the first band by doubling from the row, each
+    later one by one XOR of the band before and itself shifted ``_BAND`` cells. Row i of a band
+    is valid in its first ``width - i`` cells; each valid row is copied (and cast) with one
+    slice assignment, so a generation costs one copy.
+    """
+    band, spare = np.empty((2, _BAND, w), np.uint8)
+    band[0] = cells[lo : lo + w]
+    k = 1
+    while k < _BAND:  # rows k..2k-1 from rows 0..k-1
+        np.bitwise_xor(band[:k, : w - k], band[:k, k:], out=band[k : 2 * k, : w - k])
+        k *= 2
+    at, base, first = lo + w, 0, 1  # next row's offset; band row 0's generation after the row's
+    while True:
+        for i in range(first, min(_BAND, rows + 1 - base)):
+            width = w - base - i
+            cells[at : at + width] = band[i, :width]
+            at += width
+        base += _BAND
+        if base > rows:
+            return
+        np.bitwise_xor(band[:, : w - base], band[:, _BAND : w - base + _BAND], out=spare[:, : w - base])
+        band, spare, first = spare, band, 0
 
 
 def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
@@ -238,6 +273,10 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     rows (rule 102), a subtract and an abs through the signed view of the
     same cells below half the dtype's range, else max - min. Rows only lose
     range, so a kernel valid for one row stays valid for every later row.
+    Once a read finds 0/1 rows with more than 64 generations left, the rest
+    come by Lucas doubling in bands of 64 rows, one copy a generation. The
+    maxima read are kept on the pyramid, so a highlight can skip the rows
+    that cannot hold its pattern.
     Raises :class:`TooLarge`, before computing any row, when the pyramid
     would hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
@@ -258,10 +297,15 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     half = 2 ** (8 * cells.itemsize - 1)
     signed = cells.view(f"i{cells.itemsize}")
     scratch = np.empty(n - 1, cells.dtype) if top >= half else None
+    tops = [(0, top)]
     lo = 0
     for t, w in enumerate(range(n, n - steps, -1)):  # row t is cells[lo:lo + w]; row t + 1 follows it
         if top > 1 and t and not t % _RANGE_READ_EVERY:
             top = int(cells[lo : lo + w].max())  # a kernel valid for row t stays valid below it
+            tops.append((t, top))
+        if top <= 1 and steps - t > _BAND:  # true first at a read, since steps - t only falls
+            _bit_bands(cells, lo, w, steps - t)
+            break
         work = signed if top < half else cells
         a, b, out = work[lo : lo + w - 1], work[lo + 1 : lo + w], work[lo + w : lo + 2 * w - 1]
         if top <= 1:  # on bits, |a - b| is a ^ b
@@ -272,7 +316,9 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
             np.subtract(np.maximum(a, b, out=out), np.minimum(a, b, out=scratch[: w - 1]), out=out)
         lo += w
     t = np.arange(steps + 2)
-    return Pyramid.__new__(Pyramid)._hold(cells, t * (2 * n + 1 - t) // 2)
+    pyramid = Pyramid.__new__(Pyramid)._hold(cells, t * (2 * n + 1 - t) // 2)
+    pyramid._tops = tuple(tops)
+    return pyramid
 
 
 def make_symmetric(p: RowLike) -> np.ndarray:

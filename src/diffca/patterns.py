@@ -9,6 +9,8 @@ from per-row runs, not vertical or diagonal alignments.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .engine import Pyramid, RowLike, Triangle, as_row
@@ -26,21 +28,29 @@ class HighlightMask(Triangle):
         return int(np.count_nonzero(self.packed[0]))
 
 
-def _cover(cells: np.ndarray, s: np.ndarray, starts: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _cover(
+    cells: np.ndarray, s: np.ndarray, starts: np.ndarray, tops: Sequence[tuple[int, int]], out: np.ndarray
+) -> np.ndarray:
     """Mark in ``out`` the cells covered by an occurrence of ``s``, over rows packed back to back.
 
     Row r is ``cells[starts[r]:starts[r + 1]]``, one cell shorter than row r - 1. No occurrence
     crosses a row end, so only the leading rows of ``s.size`` cells or more can hold one, and
-    none holds a value past the cells' dtype. ``s`` is cast to that dtype, so no compare widens.
+    none holds a value past the cells' dtype. ``tops`` are ``(generation, maximum)`` pairs that
+    bound every row from that generation on, so none from the first generation whose maximum is
+    below ``s``'s largest value can hold one either; only the rows before it are compared.
+    ``s`` is cast to the cells' dtype, so no compare widens.
     """
-    k = s.size
-    rows = min(starts.size - 1, int(starts[1]) - k + 1)
-    if rows < 1 or int(s.max()) > np.iinfo(cells.dtype).max:
+    k, big = s.size, int(s.max())
+    rows = min(starts.size - 1, int(starts[1]) - k + 1, *(g for g, top in tops if top < big))
+    if rows < 1 or big > np.iinfo(cells.dtype).max:
         out.fill(False)
         return out
     s = s.astype(cells.dtype)
     if k == 1:
-        return np.equal(cells, s[0], out=out)
+        m = int(starts[rows])
+        out[m:] = False  # the mask may sit in a recycled map
+        np.equal(cells[:m], s[0], out=out[:m])
+        return out
     m = int(starts[rows]) - k + 1  # possible starts, all in those rows
     hits = cells[:m] == s[0]
     for j in range(1, k):
@@ -53,7 +63,13 @@ def _cover(cells: np.ndarray, s: np.ndarray, starts: np.ndarray, out: np.ndarray
 
 
 def highlight_pyramid(p: Pyramid, pattern: RowLike) -> HighlightMask:
-    """Match every pyramid row; the mask shape mirrors the pyramid."""
+    """Match every pyramid row; the mask shape mirrors the pyramid.
+
+    Since |a - b| <= max(a, b), a row's maximum bounds every row below it. A
+    pyramid from :func:`evolve` keeps the maxima it read, and no row from the
+    first read maximum under the pattern's largest value on is scanned: none
+    can match. A pyramid packed from loose rows keeps none and is scanned whole.
+    """
     cells, starts = p.packed
-    hits = _cover(cells, as_row(pattern), starts, HighlightMask._buffer(cells.size, np.bool_))
+    hits = _cover(cells, as_row(pattern), starts, p._tops, HighlightMask._buffer(cells.size, np.bool_))
     return HighlightMask.__new__(HighlightMask)._hold(hits, starts)

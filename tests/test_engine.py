@@ -479,6 +479,59 @@ def test_wide_bit_rows_match_the_parity_jump_ahead_at_every_depth(n):
             assert _packed_parity(p.rows[t]) == _parity_by_jump_ahead(values, t), t
 
 
+# ------------------------------------------------------ 0/1 rows in bands
+#
+# Once a read finds 0/1 rows with more than 64 generations left, evolve makes them in bands
+# of 64: widths on either side of one and of two bands, and one of four.
+_BAND_WIDTHS = (63, 64, 65, 66, 127, 128, 129, 130, 257)
+# generations after the phase starts that end one before, at and one after a band edge
+_BAND_EDGES = (63, 64, 65, 127, 128, 129)
+
+
+def _digits_first_bits_at(read: int, n: int, rng) -> list[int]:
+    """A random digit row of n cells that evolve first reads as 0/1 at generation ``read``."""
+    while True:
+        values = rng.integers(0, 10, n).tolist()
+        if evolve(values)._tops[-1][0] == read:
+            return values
+
+
+@pytest.mark.parametrize("n", _BAND_WIDTHS)
+def test_bit_rows_are_exact_at_each_band_edge(n):
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, n).tolist()
+    cases = [(bits, 0)] + [(_digits_first_bits_at(read, n, rng), read) for read in (16, 32)]
+    # uint16 and uint64 cells (the latter above half the range) are 0/1 from generation 1 on,
+    # but evolve reads them only at 16
+    cases += [([c + b for b in bits], 16) for c in (2**8, 2**63)]
+    for values, read in cases:
+        expected = list(_python_rows(values))
+        caps = [None] + [read + r for r in _BAND_EDGES if read + r < n]
+        for cap in caps:
+            p = evolve(values, max_generations=cap)
+            assert p.packed[0].dtype == np.min_scalar_type(max(values))
+            assert p._tops[-1][0] == read and p._tops[-1][1] <= 1
+            assert p.to_lists() == expected[: None if cap is None else cap + 1], (read, cap)
+
+
+def test_bit_rows_evolve_in_a_scratch_as_wide_as_the_row_not_as_tall_as_the_pyramid():
+    row = np.random.default_rng(11).integers(0, 2, 4000, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        p = evolve(row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = p.packed[0]
+    assert p._tops == ((0, 1),) and len(p) == 4000
+    values = row.tolist()
+    for t in (1, 63, 64, 65, 2000, 3935, 3936, 3999):
+        assert _packed_parity(p.rows[t]) == _parity_by_jump_ahead(values, t), t
+    # a buffer numpy does not own (mapped straight from the OS) is not traced; a band scratch
+    # is 64 rows of at most 4000 cells, one as tall as the pyramid would be 4000 rows
+    assert peak < (cells.nbytes if cells.flags.owndata else 0) + 3 * 64 * 4000
+
+
 
 # ------------------------------------------------------ recycled maps
 

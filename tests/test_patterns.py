@@ -1,5 +1,6 @@
 """Row matching and pyramid highlighting."""
 
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffca.engine import MAX_CELL, as_row, evolve
+from diffca import engine
+from diffca.engine import MAX_CELL, Pyramid, Triangle, as_row, evolve
 from diffca.patterns import HighlightMask, highlight_pyramid
 
 # ------------------------------------------------------------ oracle
@@ -218,6 +220,46 @@ def test_pattern_values_past_the_cells_dtype_match_nowhere():
         # the mask and the cast pattern alone: the cells are never compared, widened or not
         assert peak < (hits.nbytes if hits.flags.owndata else 0) + 8 * 300
         del mask, hits  # so the next call may reuse their map, as it does after other tests
+
+
+def _matches_the_window_scan(p, pattern) -> HighlightMask:
+    mask = highlight_pyramid(p, pattern)
+    expected = [naive_flags(row.tolist(), pattern) for row in p]
+    assert [hits.tolist() for hits in mask] == expected
+    assert mask.count() == sum(map(sum, expected))
+    return mask
+
+
+def test_highlight_skips_the_rows_below_a_read_maximum_under_the_pattern():
+    p = evolve(np.random.default_rng(0).integers(0, 10, 300, dtype=np.uint64))
+    # evolve read these maxima: no row from 16 on holds more than 2, none from 32 on more than 1
+    assert p._tops == ((0, 9), (16, 2), (32, 1))
+    assert _matches_the_window_scan(p, [5]).count() > 0  # between two read maxima: rows 0-15
+    # equal to the read maximum at 16: the cut is at 32, and row 16 holds its maximum
+    assert _matches_the_window_scan(p, [2])[16].any()
+    assert _matches_the_window_scan(p, [10]).count() == 0  # above row 0's maximum: nothing
+    # the largest value occurs only above the cut at 32, the others everywhere
+    assert _matches_the_window_scan(p, [1, 2, 0]).count() > 0
+    _matches_the_window_scan(p, [0, 1])  # no read maximum is below 1: every row
+
+
+def test_a_cut_mask_in_a_recycled_map_is_false_below_the_cut(monkeypatch):
+    if not hasattr(mmap, "MADV_HUGEPAGE"):
+        pytest.skip("buffers are memory maps on Linux only")
+    monkeypatch.setattr(Triangle, "_spares", spares := engine._Spares())
+    p = evolve(np.random.default_rng(1).integers(0, 10, 1500, dtype=np.uint64))
+    assert p._tops[-1][1] <= 1 and p.packed[0].nbytes >= 1 << 20
+    zeros = highlight_pyramid(p, [0])  # mostly True in the 0/1 rows below any cut
+    del zeros
+    assert len(spares.maps) == 1
+    mask = _matches_the_window_scan(p, [3])  # cut at the first read maximum under 3
+    assert spares.maps == [] and mask.count() > 0  # the mask took the map of the one before
+
+
+def test_a_pyramid_packed_from_loose_rows_is_scanned_whole():
+    # no row of loose rows bounds the rows after it: here the last holds the largest value
+    p = Pyramid([np.zeros(3, np.uint8), np.zeros(2, np.uint8), np.array([7], np.uint8)])
+    assert _matches_the_window_scan(p, [7]).count() == 1
 
 
 def test_congruence_notices_mismatched_pyramids():
