@@ -248,17 +248,15 @@ def _bit_bands(cells: np.ndarray, lo: int, w: int, rows: int) -> None:
     while k < _BAND:  # rows k..2k-1 from rows 0..k-1
         np.bitwise_xor(band[:k, : w - k], band[:k, k:], out=band[k : 2 * k, : w - k])
         k *= 2
-    at, base, first = lo + w, 0, 1  # next row's offset; band row 0's generation after the row's
-    while True:
-        for i in range(first, min(_BAND, rows + 1 - base)):
+    at = lo + w  # where the next row goes
+    for base in range(0, rows + 1, _BAND):  # band row i is generation base + i after the row's
+        if base:
+            np.bitwise_xor(band[:, : w - base], band[:, _BAND : w - base + _BAND], out=spare[:, : w - base])
+            band, spare = spare, band
+        for i in range(base == 0, min(_BAND, rows + 1 - base)):  # the first band's row 0 is in place
             width = w - base - i
             cells[at : at + width] = band[i, :width]
             at += width
-        base += _BAND
-        if base > rows:
-            return
-        np.bitwise_xor(band[:, : w - base], band[:, _BAND : w - base + _BAND], out=spare[:, : w - base])
-        band, spare, first = spare, band, 0
 
 
 def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:

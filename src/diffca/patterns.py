@@ -9,8 +9,6 @@ from per-row runs, not vertical or diagonal alignments.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .engine import Pyramid, RowLike, Triangle, as_row
@@ -29,7 +27,7 @@ class HighlightMask(Triangle):
 
 
 def _cover(
-    cells: np.ndarray, s: np.ndarray, starts: np.ndarray, tops: Sequence[tuple[int, int]], out: np.ndarray
+    cells: np.ndarray, s: np.ndarray, starts: np.ndarray, tops: tuple[tuple[int, int], ...], out: np.ndarray
 ) -> np.ndarray:
     """Mark in ``out`` the cells covered by an occurrence of ``s``, over rows packed back to back.
 
