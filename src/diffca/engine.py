@@ -227,35 +227,45 @@ class Pyramid(Triangle):
     # maximum. A pyramid packed from loose rows has none, so nothing may be assumed of it.
     _tops: tuple[tuple[int, int], ...] = ()
 
+    def _rows_reaching(self, value: int) -> int:
+        """How many leading rows may hold ``value``: none from the first read maximum below it on.
+
+        Since |a - b| <= max(a, b), a row's maximum bounds every row below it.
+        """
+        return next((g for g, top in self._tops if top < value), self.height)
+
     def to_lists(self) -> list[list[int]]:
         """Rows as plain ``int`` lists (handy for comparisons and JSON)."""
         return [r.tolist() for r in self.rows]
 
 
 def _bit_bands(cells: np.ndarray, lo: int, w: int, rows: int) -> None:
-    """Write the ``rows`` generations after the 0/1 row ``cells[lo:lo + w]`` behind it in ``cells``.
+    """Write the ``rows`` (< ``w``) generations after the 0/1 row ``cells[lo:lo + w]`` behind it.
 
     On bits the rule is XOR (rule 102), and an additive rule jumps a power of two at once:
     row j + k is row j XOR itself shifted k cells for k = 2**m (Lucas). The rows go through a
-    uint8 scratch of two bands of ``_BAND`` rows: the first band by doubling from the row, each
-    later one by one XOR of the band before and itself shifted ``_BAND`` cells. Row i of a band
-    is valid in its first ``width - i`` cells; each valid row is copied (and cast) with one
-    slice assignment, so a generation costs one copy.
+    scratch of two bands of ``_BAND`` rows in the cells' dtype: the first band by doubling from
+    the row, each later one by one XOR of the band before and itself shifted ``_BAND`` cells.
+    Row i of a band is valid in its first ``width - i`` cells; each valid row is copied with one
+    memoryview slice assignment (about half the cost of a numpy one on rows of a few thousand
+    uint8 cells), so a generation costs one copy.
     """
-    band, spare = np.empty((2, _BAND, w), np.uint8)
+    band, spare = np.empty((2, _BAND, w), cells.dtype)
     band[0] = cells[lo : lo + w]
     k = 1
-    while k < _BAND:  # rows k..2k-1 from rows 0..k-1
+    while k < min(_BAND, w):  # rows k..2k-1 from rows 0..k-1; a row of w cells has w - 1 after it
         np.bitwise_xor(band[:k, : w - k], band[:k, k:], out=band[k : 2 * k, : w - k])
         k *= 2
+    out = memoryview(cells)
     at = lo + w  # where the next row goes
     for base in range(0, rows + 1, _BAND):  # band row i is generation base + i after the row's
         if base:
             np.bitwise_xor(band[:, : w - base], band[:, _BAND : w - base + _BAND], out=spare[:, : w - base])
             band, spare = spare, band
+        src = memoryview(band.reshape(-1))
         for i in range(base == 0, min(_BAND, rows + 1 - base)):  # the first band's row 0 is in place
             width = w - base - i
-            cells[at : at + width] = band[i, :width]
+            out[at : at + width] = src[i * w : i * w + width]
             at += width
 
 
@@ -267,14 +277,13 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
     narrowest unsigned dtype that holds the input's maximum (uint8 for
     digits): no generation outgrows it, since |a - b| <= max(a, b).
     The kernel follows the rows' maximum, read from generation 0 and every
-    16 generations after until it is at most 1: one XOR a generation on 0/1
-    rows (rule 102), a subtract and an abs through the signed view of the
-    same cells below half the dtype's range, else max - min. Rows only lose
-    range, so a kernel valid for one row stays valid for every later row.
-    Once a read finds 0/1 rows with more than 64 generations left, the rest
-    come by Lucas doubling in bands of 64 rows, one copy a generation. The
-    maxima read are kept on the pyramid, so a highlight can skip the rows
-    that cannot hold its pattern.
+    16 generations after until it is at most 1: a subtract and an abs through
+    the signed view of the same cells below half the dtype's range, else
+    max - min. Rows only lose range, so a kernel valid for one row stays
+    valid for every later row. Once a read finds 0/1 rows, where the rule is
+    XOR (rule 102), the rest come by Lucas doubling in bands of 64 rows, one
+    copy a generation. The maxima read are kept on the pyramid, so a
+    highlight can skip the rows that cannot hold its pattern.
     Raises :class:`TooLarge`, before computing any row, when the pyramid
     would hold more than :data:`MAX_PYRAMID_CELLS` cells.
     """
@@ -301,14 +310,12 @@ def evolve(input: RowLike, max_generations: int | None = None) -> Pyramid:
         if top > 1 and t and not t % _RANGE_READ_EVERY:
             top = int(cells[lo : lo + w].max())  # a kernel valid for row t stays valid below it
             tops.append((t, top))
-        if top <= 1 and steps - t > _BAND:  # true first at a read, since steps - t only falls
+        if top <= 1:  # true first at a read; on bits, |a - b| is a ^ b
             _bit_bands(cells, lo, w, steps - t)
             break
         work = signed if top < half else cells
         a, b, out = work[lo : lo + w - 1], work[lo + 1 : lo + w], work[lo + w : lo + 2 * w - 1]
-        if top <= 1:  # on bits, |a - b| is a ^ b
-            np.bitwise_xor(a, b, out=out)
-        elif top < half:
+        if top < half:
             np.abs(np.subtract(a, b, out=out), out=out)
         else:  # unsigned-safe |a - b| = max - min; plain subtraction would wrap
             np.subtract(np.maximum(a, b, out=out), np.minimum(a, b, out=scratch[: w - 1]), out=out)

@@ -26,20 +26,16 @@ class HighlightMask(Triangle):
         return int(np.count_nonzero(self.packed[0]))
 
 
-def _cover(
-    cells: np.ndarray, s: np.ndarray, starts: np.ndarray, tops: tuple[tuple[int, int], ...], out: np.ndarray
-) -> np.ndarray:
+def _cover(cells: np.ndarray, s: np.ndarray, starts: np.ndarray, rows: int, out: np.ndarray) -> np.ndarray:
     """Mark in ``out`` the cells covered by an occurrence of ``s``, over rows packed back to back.
 
-    Row r is ``cells[starts[r]:starts[r + 1]]``, one cell shorter than row r - 1. No occurrence
-    crosses a row end, so only the leading rows of ``s.size`` cells or more can hold one, and
-    none holds a value past the cells' dtype. ``tops`` are ``(generation, maximum)`` pairs that
-    bound every row from that generation on, so none from the first generation whose maximum is
-    below ``s``'s largest value can hold one either; only the rows before it are compared.
-    ``s`` is cast to the cells' dtype, so no compare widens.
+    Row r is ``cells[starts[r]:starts[r + 1]]``, one cell shorter than row r - 1. Only the
+    first ``rows`` rows are compared; the rest of ``out`` is False. No occurrence crosses a row
+    end, so only the leading rows of ``s.size`` cells or more can hold one, and none holds a
+    value past the cells' dtype. ``s`` is cast to the cells' dtype, so no compare widens.
     """
     k, big = s.size, int(s.max())
-    rows = min(starts.size - 1, int(starts[1]) - k + 1, *(g for g, top in tops if top < big))
+    rows = min(rows, int(starts[1]) - k + 1)
     if rows < 1 or big > np.iinfo(cells.dtype).max:
         out.fill(False)
         return out
@@ -69,5 +65,7 @@ def highlight_pyramid(p: Pyramid, pattern: RowLike) -> HighlightMask:
     can match. A pyramid packed from loose rows keeps none and is scanned whole.
     """
     cells, starts = p.packed
-    hits = _cover(cells, as_row(pattern), starts, p._tops, HighlightMask._buffer(cells.size, np.bool_))
+    s = as_row(pattern)
+    out = HighlightMask._buffer(cells.size, np.bool_)
+    hits = _cover(cells, s, starts, p._rows_reaching(int(s.max())), out)
     return HighlightMask.__new__(HighlightMask)._hold(hits, starts)

@@ -481,8 +481,8 @@ def test_wide_bit_rows_match_the_parity_jump_ahead_at_every_depth(n):
 
 # ------------------------------------------------------ 0/1 rows in bands
 #
-# Once a read finds 0/1 rows with more than 64 generations left, evolve makes them in bands
-# of 64: widths on either side of one and of two bands, and one of four.
+# Once a read finds 0/1 rows, evolve makes the rest in bands of 64: widths on either side of
+# one and of two bands, and one of four.
 _BAND_WIDTHS = (63, 64, 65, 66, 127, 128, 129, 130, 257)
 # generations after the phase starts that end one before, at and one after a band edge
 _BAND_EDGES = (63, 64, 65, 127, 128, 129)

@@ -232,8 +232,9 @@ def _matches_the_window_scan(p, pattern) -> HighlightMask:
 
 def test_highlight_skips_the_rows_below_a_read_maximum_under_the_pattern():
     p = evolve(np.random.default_rng(0).integers(0, 10, 300, dtype=np.uint64))
-    # evolve read these maxima: no row from 16 on holds more than 2, none from 32 on more than 1
-    assert p._tops == ((0, 9), (16, 2), (32, 1))
+    # evolve read these maxima: no row holds more than 9, none from 16 on more than 2, none
+    # from 32 on more than 1
+    assert [p._rows_reaching(v) for v in (10, 3, 2, 1, 0)] == [0, 16, 32, 300, 300]
     assert _matches_the_window_scan(p, [5]).count() > 0  # between two read maxima: rows 0-15
     # equal to the read maximum at 16: the cut is at 32, and row 16 holds its maximum
     assert _matches_the_window_scan(p, [2])[16].any()
@@ -248,7 +249,7 @@ def test_a_cut_mask_in_a_recycled_map_is_false_below_the_cut(monkeypatch):
         pytest.skip("buffers are memory maps on Linux only")
     monkeypatch.setattr(Triangle, "_spares", spares := engine._Spares())
     p = evolve(np.random.default_rng(1).integers(0, 10, 1500, dtype=np.uint64))
-    assert p._tops[-1][1] <= 1 and p.packed[0].nbytes >= 1 << 20
+    assert p._rows_reaching(2) < len(p) and p.packed[0].nbytes >= 1 << 20
     zeros = highlight_pyramid(p, [0])  # mostly True in the 0/1 rows below any cut
     del zeros
     assert len(spares.maps) == 1
