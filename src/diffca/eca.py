@@ -34,7 +34,9 @@ __all__ = [
 ]
 
 BOUNDARIES = ("zero", "periodic")
-_AGREEMENT_BLOCK = 1 << 16  # cone cells per pass of impulse_agreement: ~1 MB of int64 index temporaries
+_AGREEMENT_BLOCK = 1 << 16  # cone cells per pass of impulse_agreement: a 0.5 MB block of intp indices
+# rows a rule-90 band holds: a power of two, for the Lucas doubling
+_BAND = 64
 
 
 class OutOfRange(ValueError):
@@ -131,6 +133,45 @@ def _diagram(first: np.ndarray, table: tuple[int, ...], periodic: bool, generati
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
+def _xor_shifted(src: np.ndarray, dst: np.ndarray, shift: int) -> None:
+    """Write into ``dst`` the 0/1 rows ``src`` shifted ``shift`` cells each way and XORed, on zero ghosts.
+
+    A ghost cell of 0 beyond each end makes the rows, for rule 90, the mirror
+    ring ``[0, x, 0, reversed(x)]`` of 2n + 2 cells, whose cells ``shift`` to
+    either side are a plain slice of the row, the ghost and a reversed strip.
+    """
+    n = src.shape[1]
+    ring = 2 * n + 2
+    s = min(shift % ring, -shift % ring)  # shifting s and ring - s both ways is the same
+    if s in (0, n + 1):  # each cell's two terms are one cell: they cancel
+        dst[...] = 0
+        return
+    dst[:, s:] = src[:, : n - s]  # the left terms
+    dst[:, s - 1] = 0
+    dst[:, : s - 1] = src[:, : s - 1][:, ::-1]
+    dst[:, : n - s] ^= src[:, s:]  # the right terms; the one at column n - s is a ghost
+    dst[:, n - s + 1 :] ^= src[:, n - s + 1 :][:, ::-1]
+
+
+def _rule_90_zero(first: np.ndarray, generations: int) -> np.ndarray:
+    """Rows 0..``generations`` of rule 90 under the zero boundary, as a ``(generations + 1, width)`` uint8 array.
+
+    Rule 90 is additive, so row t + k is row t shifted k cells each way and
+    XORed for k = 2**m (Lucas; Martin, Odlyzko & Wolfram 1984). Rows k..2k-1
+    come from rows 0..k-1 for k = 1, 2, .., 32, and every later band of
+    ``_BAND`` rows from the band before it, straight into the diagram.
+    """
+    rows = np.empty((generations + 1, first.size), np.uint8)
+    rows[0] = first
+    b = 1  # the band's first row
+    while b <= generations:
+        k = min(b, _BAND)
+        stop = min(b + k, generations + 1)
+        _xor_shifted(rows[b - k : stop - k], rows[b:stop], k)
+        b += k
+    return rows
+
+
 @dataclass(frozen=True)
 class EcaDiagram:
     """Constant-width space-time diagram: ``rows[t]`` is generation t."""
@@ -149,6 +190,8 @@ def eca_evolve(
     """Evolve ``initial`` for ``generations`` steps; row 0 is the input.
 
     The width never changes; one step is ``eca_evolve(row, rule, 1).rows[1]``.
+    Rule 90 under the zero boundary comes by Lucas doubling in bands of 64
+    rows; every other rule and boundary steps the rows as packed integers.
     An unsigned array is used as it is; any other input becomes uint64.
     Raises :class:`TooLarge`, before allocating, when the diagram would
     hold more than :data:`MAX_PYRAMID_CELLS` cells.
@@ -163,7 +206,10 @@ def eca_evolve(
     rl = rule if isinstance(rule, EcaRule) else rule_table(rule)
     if (row > 1).any():
         raise NonBinaryCell("elementary rows hold only 0 and 1")
-    rows = _diagram(row, rl.table, boundary == "periodic", generations)
+    if rl.number == 90 and boundary == "zero":
+        rows = _rule_90_zero(row, generations)
+    else:
+        rows = _diagram(row, rl.table, boundary == "periodic", generations)
     rows.setflags(write=False)
     return EcaDiagram(rows, rl, boundary)
 
@@ -194,16 +240,25 @@ def impulse_agreement(mask: HighlightMask, impulse_index: int) -> tuple[float, f
     t = np.arange(a_rows + b_cols - 1)
     u = starts.take(t, mode="clip") - t + j0  # a t past the cut indexes nothing real
     windows = sliding_window_view(u, b_cols)
-    b = np.arange(b_cols)
+    small = np.min_scalar_type(h)  # holds every a and b, so a & b is computed narrow
+    b = np.arange(b_cols, dtype=small)
     cut = a_rows + b_cols - 1 > h  # only a truncated mask has cells past its last row
     total = 0 if cut else a_rows * b_cols
     direct = 0
-    step = max(1, _AGREEMENT_BLOCK // b_cols)  # whole a-rows per block
+    step = min(a_rows, max(1, _AGREEMENT_BLOCK // b_cols))  # whole a-rows per block
+    # the blocks' index, gathered cells, a & b and parity, made once and refilled
+    index = np.empty((step, b_cols), np.intp)
+    got = np.empty((step, b_cols), np.bool_)
+    both = np.empty((step, b_cols), small)
+    odd = np.empty((step, b_cols), np.bool_)
     for a0 in range(0, a_rows, step):
-        a = np.arange(a0, min(a0 + step, a_rows))[:, None]
-        hit = cells.take(windows[a0 : a0 + step] + a, mode="clip") == ((a & b) == 0)
+        a = np.arange(a0, min(a0 + step, a_rows), dtype=small)[:, None]
+        k = a.shape[0]
+        cells.take(np.add(windows[a0 : a0 + k], a, out=index[:k]), mode="clip", out=got[:k])
+        np.equal(np.bitwise_and(a, b, out=both[:k]), 0, out=odd[:k])
+        hit = np.equal(got[:k], odd[:k], out=got[:k])
         if cut:  # clip the cells past the cut into range and count them out
-            inside = a + b < h
+            inside = b < h - a  # a + b < h, without a sum that could outgrow the dtype
             hit &= inside
             total += int(np.count_nonzero(inside))
         direct += int(np.count_nonzero(hit))

@@ -196,32 +196,31 @@ def _layout(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.n
     """Stack the panels one blank cell row apart, each centered on the widest.
 
     Returns the canvas width and height in pixels and an iterator over the
-    placed paints ``(y, xp, xr, paints)``: ``y`` is the top pixel row, ``xp``
-    the panel's offset in the canvas and ``xr`` the row's offset in its
-    panel, both in half pixels. A panel of equal rows (an elementary-CA
-    diagram) is placed as one ``(rows, cells)`` block of paints; any other
-    row by row, with 1-D paints. Rasters floor the two offsets one by one;
-    SVG writes their sum exactly. A panel's paints, ``paint(panel)``, are
-    made when the iterator reaches it, after the callers' size checks.
+    placed panels ``(y, xp, xrs, starts, paints)``: ``y`` is the panel's top
+    pixel row, ``xp`` its offset in the canvas and ``xrs[t]`` row t's offset
+    in the panel, both in half pixels, and row t's paints are
+    ``paints[starts[t]:starts[t + 1]]`` of the raveled paints. A panel of
+    equal rows (an elementary-CA diagram) has its paints as one
+    ``(rows, cells)`` block, any other as one row. Rasters floor the two
+    offsets one by one; SVG writes their sum exactly. A panel's paints,
+    ``paint(panel)``, are made when the iterator reaches it, after the
+    callers' size checks.
     """
     cp = spec.cell_px
     w = max(int(starts[1]) for _, starts, _, _ in panels) * cp
     h = (sum(starts.size for _, starts, _, _ in panels) - 1) * cp
 
-    def placed() -> Iterator[tuple[int, int, int, np.ndarray]]:
+    def placed() -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
         y = 0
         for panel in panels:
-            paints, s = paint(panel), panel[1].tolist()
-            rows, pw = len(s) - 1, s[1] * cp
-            if s[-1] == rows * s[1]:  # no row is longer than the first, so all are equal
-                yield y, w - pw, 0, paints.reshape(rows, s[1])
-                y += rows * cp
-            else:
-                for a, b in pairwise(s):
-                    xr = pw - (b - a) * cp if spec.alignment == "centered" else 0
-                    yield y, w - pw, xr, paints[a:b]
-                    y += cp
-            y += cp
+            paints, starts = paint(panel), panel[1]
+            rows, cells = starts.size - 1, int(starts[1])
+            pw = cells * cp
+            xrs = pw - np.diff(starts) * cp if spec.alignment == "centered" else np.zeros(rows, int)
+            if starts[-1] == rows * cells:  # no row is longer than the first, so all are equal
+                paints = paints.reshape(rows, cells)
+            yield y, w - pw, xrs, starts, paints
+            y += (rows + 1) * cp
 
     return w, h, placed()
 
@@ -232,11 +231,13 @@ def _layout(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.n
 def _raster(
     panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.ndarray], blank: int
 ) -> tuple[int, int, Iterator[np.ndarray]]:
-    """The layout as uint8 pixels of ``paint``'s bytes, ``blank`` where no cell lies.
+    """The layout as uint8 pixels of ``paint``'s values, ``blank`` where no cell lies.
 
     Returns the canvas width and height and an iterator over its bands, top
     to bottom: each band holds whole cell rows, about ``_PGM_BLOCK`` pixels,
-    and is a view of one buffer that the next band overwrites.
+    and is a view of one buffer that the next band overwrites. A block of
+    equal rows is written through one view of its pixels in the band; every
+    pixel row of any other panel by one memoryview slice assignment.
     """
     cp = spec.cell_px
     w, h, placed = _layout(panels, spec, paint)
@@ -245,25 +246,35 @@ def _raster(
 
     def bands() -> Iterator[np.ndarray]:
         band = np.full((min(step, h), w), blank, dtype=np.uint8)
+        out = memoryview(band.reshape(-1))
         top = 0  # the band's first pixel row
-        for y, xp, xr, paints in placed:
-            x = xp // 2 + xr // 2
+        for y, xp, xrs, starts, paints in placed:
+            paints = paints.astype(np.uint8, copy=False)
+            if cp > 1:
+                paints = np.repeat(paints, cp, axis=-1)  # each cell cp pixels wide
+            if paints.ndim == 1:  # each pixel row: where it starts in the canvas, and its pixels in the paints
+                at = ((y + np.arange(xrs.size * cp)) * w + np.repeat(xp // 2 + xrs // 2, cp)).tolist()
+                ends = np.repeat(starts * cp, cp)
+                firsts, lasts = ends[:-cp].tolist(), ends[cp:].tolist()
+                src = memoryview(paints)
+            rows, t = xrs.size, 0  # t: the panel's first row not yet written
             while True:
-                while y >= top + step:  # the band is done: hand it out, then clear it for the next
+                while y + t * cp >= top + step:  # the band is done: hand it out, then clear it for the next
                     yield band
                     top += step
                     band.fill(blank)
-                y0 = y - top
-                if paints.ndim == 1:  # one row: a plain slice costs half the 4-D view below
-                    band[y0 : y0 + cp, x : x + paints.size * cp] = paints if cp == 1 else np.repeat(paints, cp)
+                k = min(rows, (top + step - y) // cp)  # the panel's rows up to the band's end
+                if paints.ndim == 2:  # every row cp pixel rows, through a view of the block's pixels
+                    y0, x, pw = y + t * cp - top, xp // 2, paints.shape[1]
+                    band[y0 : y0 + (k - t) * cp, x : x + pw].reshape(k - t, cp, pw)[...] = paints[t:k, None]
+                else:
+                    base, pixel_rows = top * w, slice(t * cp, k * cp)
+                    for o, a, b in zip(at[pixel_rows], firsts[pixel_rows], lasts[pixel_rows]):
+                        o -= base
+                        out[o : o + b - a] = src[a:b]
+                if k == rows:
                     break
-                # every cell a cp x cp square, written through a view of the block's pixels in this band
-                r, c = paints.shape
-                k = min(r, (step - y0) // cp)
-                band[y0 : y0 + k * cp, x : x + c * cp].reshape(k, cp, c, cp)[...] = paints[:k].reshape(k, 1, c, 1)
-                if k == r:
-                    break
-                y, paints = y + k * cp, paints[k:]
+                t = k
         while top < h:
             yield band[: h - top]
             top += step
@@ -373,13 +384,14 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
         'shape-rendering="crispEdges">\n'
     ]
     rects = np.empty(3 * (w // cp), dtype=object)  # the widest row's heads, middles and tails
-    for y, xp, xr, block in rows:
-        j = (xp + xr) // cp
-        for paints in block if block.ndim == 2 else (block,):
-            row = rects[: 3 * paints.size]
-            row[0::3] = heads[j : j + 2 * paints.size : 2]
+    for y, xp, xrs, starts, paints in rows:
+        s, paints = starts.tolist(), paints.reshape(-1)
+        for xr, a, b in zip(xrs.tolist(), s, s[1:]):
+            j = (xp + xr) // cp
+            row = rects[: 3 * (b - a)]
+            row[0::3] = heads[j : j + 2 * (b - a) : 2]
             row[1::3] = f'{y}" width="{cp}" height="{cp}'
-            row[2::3] = tails[paints]
+            row[2::3] = tails[paints[a:b]]
             parts.append("".join(row.tolist()))  # one string a row, not a rect: half the peak memory
             y += cp
     del heads, rects  # before the document is joined: its parts and itself are the peak

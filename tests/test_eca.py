@@ -282,6 +282,20 @@ def test_evolve_matches_the_truth_table_read_cell_by_cell(row, boundary, generat
         assert d.rows.tolist() == expected, number
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 63, 64, 65, 66, 127, 128, 129, 130])
+def test_rule_90_bands_match_the_truth_table_at_their_edges(width):
+    # rule 90 on the zero boundary doubles up to 64 rows and then jumps 64 rows a band,
+    # each cell from the cells 64 to either side, reflected at the edges: widths and
+    # generation counts on, just under and just over a band, and more rows than cells
+    row = np.random.default_rng(width).integers(0, 2, width).tolist()
+    row[0] = row[-1] = 1  # both edges reflect a 1
+    expected = [row]
+    for _ in range(200):
+        expected.append(_step_by_cell(expected[-1], 90, "zero"))
+    for generations in (0, 1, 63, 64, 65, 127, 128, 129, 200):
+        assert eca_evolve(row, 90, generations).rows.tolist() == expected[: generations + 1], generations
+
+
 def test_rule_90_impulse_is_binomial_parity():
     # closed form: cell (t, c0 + delta) is C(t, (t+delta)/2) mod 2 when
     # t+delta is even, else 0; exact while the cone stays off the edges

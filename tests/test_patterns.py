@@ -257,6 +257,16 @@ def test_a_cut_mask_in_a_recycled_map_is_false_below_the_cut(monkeypatch):
     assert spares.maps == [] and mask.count() > 0  # the mask took the map of the one before
 
 
+def test_cut_uncut_and_loose_masks_count_what_their_rows_hold():
+    p = evolve(np.random.default_rng(2).integers(0, 10, 400, dtype=np.uint64))
+    assert p._rows_reaching(3) < len(p)  # [3] is cut at a read maximum, [0, 1] is not
+    cut, whole = highlight_pyramid(p, [3]), highlight_pyramid(p, [0, 1])
+    # loose rows bound nothing: this mask's only hits lie in its last rows
+    loose = HighlightMask([np.full(400 - t, t >= 390) for t in range(400)])
+    for mask in (cut, whole, loose):
+        assert mask.count() == sum(int(np.count_nonzero(row)) for row in mask) > 0
+
+
 def test_a_pyramid_packed_from_loose_rows_is_scanned_whole():
     # no row of loose rows bounds the rows after it: here the last holds the largest value
     p = Pyramid([np.zeros(3, np.uint8), np.zeros(2, np.uint8), np.array([7], np.uint8)])

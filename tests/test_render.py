@@ -12,6 +12,7 @@ from diffca.eca import eca_evolve, impulse_row
 from diffca.engine import MAX_CELL, TooLarge, evolve
 from diffca.patterns import highlight_pyramid
 from diffca.render import (
+    _PGM_BLOCK,
     RenderSpec,
     ShapeMismatch,
     render_ascii,
@@ -714,6 +715,28 @@ def test_rasters_written_in_small_bands_match_per_row_references(monkeypatch, ba
         assert render_pgm(p, pgm) == _pgm_by_row(_python_grays(values, len(p)), cp, centered)
         gray_rows = [[0 if cell else 255 for cell in row] for row in diagram]
         assert render_eca(d, pgm) == _pgm_by_row(gray_rows, cp, centered)
+
+
+@pytest.mark.parametrize("cp", [1, 2])
+def test_rasters_wider_than_one_band_match_per_row_references(cp):
+    # at the default band size the compare canvas of a 301-cell impulse is cut into bands
+    # inside its pyramid panel, whose rows alternate odd and even centred offsets, so rows
+    # of both kinds lie on both sides of a band edge; at cp 2 the pyramid's own raster is too
+    n = 301
+    row = impulse_row(n, 120)
+    d = eca_evolve(row, 90, n - 1)
+    diagram = d.rows.tolist()
+    p = evolve(row)
+    mask = highlight_pyramid(p, [1])
+    mask_rows = [r.tolist() for r in mask]
+    band_rows = _PGM_BLOCK // (n * cp * cp) * cp  # pixel rows a band of the compare canvas
+    assert any(edge > (n + 1) * cp for edge in range(band_rows, (2 * n + 1) * cp, band_rows))
+    for alignment in ("centered", "left"):
+        centered = alignment == "centered"
+        pbm, pgm = (RenderSpec(format=f, cell_px=cp, alignment=alignment) for f in ("pbm", "pgm"))
+        assert render_compare(d, p, mask, pbm) == _pbm_by_row([diagram, mask_rows], cp, centered)
+        assert render_pbm(mask, pbm) == _pbm_by_row([mask_rows], cp, centered)
+        assert render_pgm(p, pgm) == _pgm_by_row(_python_grays(row.tolist(), n), cp, centered)
 
 
 def test_renders_are_deterministic():
