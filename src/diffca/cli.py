@@ -13,6 +13,7 @@ Each ``_cmd_*`` handler returns ``(artifact, lines)`` and writes nothing;
 ``main`` alone writes stdout, stderr and ``--out`` and sets the exit status:
 0 on success, 1 for parse/value/IO failures and a failing ``selfcheck`` (one
 stderr line names the failing component), 2 for invalid flag combinations.
+A figure on stdout is written whole, or the run fails with ``error: io: …``.
 """
 
 from __future__ import annotations
@@ -229,7 +230,9 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "wb") as f:  # text and its newline written apart: no second copy of the text
                 f.writelines([artifact] if isinstance(artifact, bytes) else [artifact.encode("utf-8"), b"\n"])
         elif isinstance(artifact, bytes):
-            sys.stdout.buffer.write(artifact)
+            view = memoryview(artifact)
+            while view:  # unbuffered, stdout is raw: one write may take only part of the figure
+                view = view[sys.stdout.buffer.write(view) :]
             sys.stdout.buffer.flush()
         elif artifact is not None:
             lines = [artifact, *lines]

@@ -49,7 +49,10 @@ GRID_COLOR = "#c8c8c8"  # svg cell outlines, drawn from cell_px 6 up
 _PNM_LINE = 70  # plain-format line length cap
 # an 8192 x 8192 raster: 64 MiB as uint8, before its plain-text serialization
 MAX_CANVAS_PIXELS = 8192 * 8192
-_SHADE_BLOCK = 1 << 17  # cells a block of shaded rows holds at most: 1 MB a temporary at uint64
+# cells a block of shaded rows, pixels a raster band of whole cell rows, or a PGM block of
+# whole pixel rows (or one row): no temporary of a block passes 1 MB, and a row of the
+# canvas budget at 4 bytes a pixel keeps its offsets within int32
+_PGM_BLOCK = 1 << 17
 
 # A paint is INK (highlighted, or 1 in a diagram) or a gray level from 0
 # (black) to 255 (white); BLANK, the unpainted cell, is white.
@@ -175,7 +178,7 @@ def _paints(panel: Panel, ink: int) -> np.ndarray:
         tops = np.maximum.reduceat(cells, starts[:-1])  # each row's maximum
         work = np.min_scalar_type(min(255 * int(tops.max()), MAX_CELL))  # holds 255 * m
         s = starts.tolist()
-        step = max(1, _SHADE_BLOCK // s[1])  # whole rows a block: none is longer than the first
+        step = max(1, _PGM_BLOCK // s[1])  # whole rows a block: none is longer than the first
         for r in range(0, len(s) - 1, step):
             a, b = s[r], s[min(r + step, len(s) - 1)]
             # an all-zero row shades as 255 * (1 - 0) // 1, blank
@@ -192,37 +195,26 @@ def _paints(panel: Panel, ink: int) -> np.ndarray:
     return paints
 
 
-def _layout(panels: list[Panel], spec: RenderSpec, paint: Callable[[Panel], np.ndarray]):
+def _layout(panels: list[Panel], spec: RenderSpec) -> tuple[int, int, list[tuple[int, int, np.ndarray, Panel]]]:
     """Stack the panels one blank cell row apart, each centered on the widest.
 
-    Returns the canvas width and height in pixels and an iterator over the
-    placed panels ``(y, xp, xrs, starts, paints)``: ``y`` is the panel's top
-    pixel row, ``xp`` its offset in the canvas and ``xrs[t]`` row t's offset
-    in the panel, both in half pixels, and row t's paints are
-    ``paints[starts[t]:starts[t + 1]]`` of the raveled paints. A panel of
-    equal rows (an elementary-CA diagram) has its paints as one
-    ``(rows, cells)`` block, any other as one row. Rasters floor the two
-    offsets one by one; SVG writes their sum exactly. A panel's paints,
-    ``paint(panel)``, are made when the iterator reaches it, after the
-    callers' size checks.
+    Returns the canvas width and height in pixels and the placed panels
+    ``(y, xp, xrs, panel)``: ``y`` is the panel's top pixel row, ``xp`` its
+    offset in the canvas and ``xrs[t]`` row t's offset in the panel, both in
+    half pixels. Rasters floor the two offsets one by one; SVG writes their
+    sum exactly. Nothing is painted here: the callers paint each panel after
+    their size checks.
     """
     cp = spec.cell_px
     w = max(int(starts[1]) for _, starts, _, _ in panels) * cp
-    h = (sum(starts.size for _, starts, _, _ in panels) - 1) * cp
-
-    def placed() -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-        y = 0
-        for panel in panels:
-            paints, starts = paint(panel), panel[1]
-            rows, cells = starts.size - 1, int(starts[1])
-            pw = cells * cp
-            xrs = pw - np.diff(starts) * cp if spec.alignment == "centered" else np.zeros(rows, int)
-            if starts[-1] == rows * cells:  # no row is longer than the first, so all are equal
-                paints = paints.reshape(rows, cells)
-            yield y, w - pw, xrs, starts, paints
-            y += (rows + 1) * cp
-
-    return w, h, placed()
+    placed, y = [], 0
+    for panel in panels:
+        starts = panel[1]
+        pw = int(starts[1]) * cp
+        xrs = pw - np.diff(starts) * cp if spec.alignment == "centered" else np.zeros(starts.size - 1, int)
+        placed.append((y, w - pw, xrs, panel))
+        y += starts.size * cp  # its rows and one blank row
+    return w, y - cp, placed
 
 
 # -------------------------------------------------------- serializers
@@ -235,50 +227,47 @@ def _raster(
 
     Returns the canvas width and height and an iterator over its bands, top
     to bottom: each band holds whole cell rows, about ``_PGM_BLOCK`` pixels,
-    and is a view of one buffer that the next band overwrites. A block of
-    equal rows is written through one view of its pixels in the band; every
-    pixel row of any other panel by one memoryview slice assignment.
+    and is a view of one buffer that the next band overwrites. A panel is
+    painted on its first band. A panel of equal rows (an elementary-CA
+    diagram) is written through one ``(rows, cp, width)`` view of its pixels
+    in the band; every pixel row of any other by one memoryview slice assignment.
     """
     cp = spec.cell_px
-    w, h, placed = _layout(panels, spec, paint)
+    w, h, placed = _layout(panels, spec)
     TooLarge.check(w * h, MAX_CANVAS_PIXELS, f"pixels of a {w}x{h} canvas")
     step = max(1, _PGM_BLOCK // (w * cp)) * cp  # pixel rows a band; every placed row starts at a multiple of cp
 
     def bands() -> Iterator[np.ndarray]:
-        band = np.full((min(step, h), w), blank, dtype=np.uint8)
+        band = np.empty((min(step, h), w), dtype=np.uint8)
         out = memoryview(band.reshape(-1))
-        top = 0  # the band's first pixel row
-        for y, xp, xrs, starts, paints in placed:
-            paints = paints.astype(np.uint8, copy=False)
-            if cp > 1:
-                paints = np.repeat(paints, cp, axis=-1)  # each cell cp pixels wide
-            if paints.ndim == 1:  # each pixel row: where it starts in the canvas, and its pixels in the paints
-                at = ((y + np.arange(xrs.size * cp)) * w + np.repeat(xp // 2 + xrs // 2, cp)).tolist()
-                ends = np.repeat(starts * cp, cp)
-                firsts, lasts = ends[:-cp].tolist(), ends[cp:].tolist()
-                src = memoryview(paints)
-            rows, t = xrs.size, 0  # t: the panel's first row not yet written
-            while True:
-                while y + t * cp >= top + step:  # the band is done: hand it out, then clear it for the next
-                    yield band
-                    top += step
-                    band.fill(blank)
-                k = min(rows, (top + step - y) // cp)  # the panel's rows up to the band's end
-                if paints.ndim == 2:  # every row cp pixel rows, through a view of the block's pixels
-                    y0, x, pw = y + t * cp - top, xp // 2, paints.shape[1]
-                    band[y0 : y0 + (k - t) * cp, x : x + pw].reshape(k - t, cp, pw)[...] = paints[t:k, None]
-                else:
-                    base, pixel_rows = top * w, slice(t * cp, k * cp)
-                    for o, a, b in zip(at[pixel_rows], firsts[pixel_rows], lasts[pixel_rows]):
-                        o -= base
-                        out[o : o + b - a] = src[a:b]
-                if k == rows:
-                    break
-                t = k
-        while top < h:
-            yield band[: h - top]
-            top += step
+        made = {}  # by panel top, on its first band: its pixels, and its pixel rows' canvas offsets, starts and ends
+        for top in range(0, h, step):
             band.fill(blank)
+            for y, xp, xrs, panel in placed:
+                rows, starts = xrs.size, panel[1]
+                t, k = max(0, (top - y) // cp), min(rows, (top + step - y) // cp)  # its cell rows in the band
+                if t >= k:
+                    continue
+                if not t:
+                    pixels = paint(panel).astype(np.uint8, copy=False)
+                    if cp > 1:
+                        pixels = np.repeat(pixels, cp)  # each cell cp pixels wide
+                    if starts[-1] == rows * starts[1]:  # no row is longer than the first, so all are equal
+                        made[y] = pixels.reshape(rows, -1), None  # written as one block, not row by row
+                    else:
+                        at = ((y + np.arange(rows * cp)) * w + np.repeat(xp // 2 + xrs // 2, cp)).tolist()
+                        ends = np.repeat(starts * cp, cp)
+                        made[y] = memoryview(pixels), (at, ends[:-cp].tolist(), ends[cp:].tolist())
+                pixels, pixel_rows = made[y]
+                if pixel_rows is None:  # every row cp pixel rows, through a view of the block's pixels
+                    y0, x, pw = y + t * cp - top, xp // 2, pixels.shape[1]
+                    band[y0 : y0 + (k - t) * cp, x : x + pw].reshape(k - t, cp, pw)[...] = pixels[t:k, None]
+                else:
+                    base, r = top * w, slice(t * cp, k * cp)  # the band's canvas offset, the panel's pixel rows in it
+                    for o, a, b in zip(*(column[r] for column in pixel_rows)):
+                        o -= base
+                        out[o : o + b - a] = pixels[a:b]
+            yield band[: h - top]
 
     return w, h, bands()
 
@@ -319,10 +308,6 @@ def _pbm(panels: list[Panel], spec: RenderSpec) -> bytes:
 # one uint32; _PGM_WIDTH counts the bytes of a slot that are written.
 _PGM_SLOTS = np.frombuffer(b"".join(f" {g}".encode().ljust(4, b"\0") for g in range(256)), dtype=np.uint32)
 _PGM_WIDTH = np.array([len(f" {g}") for g in range(256)], dtype=np.uint8)
-# pixels a raster band of whole cell rows, or a PGM block of whole pixel rows (or one
-# row): its temporaries stay near 0.5 MB each, and a row of the canvas budget at 4 bytes
-# a pixel keeps its offsets within int32
-_PGM_BLOCK = 1 << 17
 # an SVG fill per gray level, in paint order, then the highlight's, so a paint of INK takes the last
 _SVG_FILLS = (*(f"#{g:02x}{g:02x}{g:02x}" for g in range(256)), "#1a1a1a")
 
@@ -369,7 +354,7 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     tail by its paint. A row of rects is one join over the three, interleaved.
     """
     cp = spec.cell_px
-    w, h, rows = _layout(panels, spec, lambda panel: _paints(panel, INK))
+    w, h, placed = _layout(panels, spec)
     edge = f' stroke="{GRID_COLOR}" stroke-width="1"' if cp >= 6 else ""
     # no rect is longer than one at the canvas corner (every fill is #rrggbb);
     # the budget is the largest plain PGM the raster budget allows, "255 " a pixel
@@ -384,8 +369,8 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
         'shape-rendering="crispEdges">\n'
     ]
     rects = np.empty(3 * (w // cp), dtype=object)  # the widest row's heads, middles and tails
-    for y, xp, xrs, starts, paints in rows:
-        s, paints = starts.tolist(), paints.reshape(-1)
+    for y, xp, xrs, panel in placed:
+        s, paints = panel[1].tolist(), _paints(panel, INK)  # painted after the budget check
         for xr, a, b in zip(xrs.tolist(), s, s[1:]):
             j = (xp + xr) // cp
             row = rects[: 3 * (b - a)]

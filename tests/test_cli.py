@@ -381,12 +381,16 @@ def test_cli_transcripts_are_pinned(argv, capsysbinary):
 # --------------------------------------------------------- a real process
 
 
-def run_process(*argv):
-    """``python -m diffca.cli`` in a fresh process against the package in ``src``, warnings as errors."""
+def _process_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_process(*argv):
+    """``python -m diffca.cli`` in a fresh process against the package in ``src``, warnings as errors."""
     return subprocess.run([sys.executable, "-W", "error", "-m", "diffca.cli", *argv],
-                          env=env, capture_output=True, timeout=120)
+                          env=_process_env(), capture_output=True, timeout=120)
 
 
 def test_a_process_writes_a_binary_figure_then_its_text_lines():
@@ -398,6 +402,19 @@ def test_a_process_writes_a_binary_figure_then_its_text_lines():
                             RenderSpec(format="pbm"))
     assert done.stdout == figure + (b"in-cone agreement vs binomial parity: 1.000000\n"
                                     b"in-cone complement agreement: 0.000000\n")
+
+
+def test_a_figure_cut_short_by_a_closed_pipe_fails_under_unbuffered_stdio():
+    # under -u, stdout's binary layer is raw: a write that the closed pipe cut short
+    # returns a count and raises nothing, so only the next write can report it
+    argv = ["eca", "--rule", "90", "--generations", "300", "--format", "pbm"]  # a 183 KB figure
+    with subprocess.Popen([sys.executable, "-u", "-W", "error", "-m", "diffca.cli", *argv], env=_process_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0) as proc:
+        assert proc.stdout.read(10) == b"P1\n601 301"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err.startswith(b"error: io: ") and err.count(b"\n") == 1, err
 
 
 def test_a_process_reports_a_bad_expression_without_a_traceback():

@@ -43,14 +43,14 @@ def row_hits(row, pattern) -> np.ndarray:
         ([7, 7], [7, 8], [False, False]),
     ],
 )
-def test_match_row_examples(row, pattern, expected):
+def test_row_hits_examples(row, pattern, expected):
     got = row_hits(as_row(row), as_row(pattern))
     assert got.dtype == np.bool_
     assert got.tolist() == expected
     assert got.tolist() == naive_flags(row, pattern)
 
 
-def test_match_row_agrees_with_the_window_scan():
+def test_row_hits_agrees_with_the_window_scan():
     rng = np.random.default_rng(7)
     for _ in range(300):
         n = int(rng.integers(1, 33))
@@ -82,7 +82,7 @@ def test_highlight_scans_a_narrow_row_in_its_own_dtype():
     assert peak < 3_000_000
 
 
-def test_match_row_rejects_empty_operands():
+def test_row_hits_rejects_empty_operands():
     with pytest.raises(ValueError):
         row_hits(as_row([1]), [])
     with pytest.raises(ValueError):

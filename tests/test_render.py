@@ -2,12 +2,14 @@
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diffca.render
 from diffca.eca import eca_evolve, impulse_row
 from diffca.engine import MAX_CELL, TooLarge, evolve
 from diffca.patterns import highlight_pyramid
@@ -737,6 +739,53 @@ def test_rasters_wider_than_one_band_match_per_row_references(cp):
         assert render_compare(d, p, mask, pbm) == _pbm_by_row([diagram, mask_rows], cp, centered)
         assert render_pbm(mask, pbm) == _pbm_by_row([mask_rows], cp, centered)
         assert render_pgm(p, pgm) == _pgm_by_row(_python_grays(row.tolist(), n), cp, centered)
+
+
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=24),
+    st.lists(st.integers(0, 1), min_size=1, max_size=24),
+    st.integers(0, 255),
+    st.integers(0, 12),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(1, 4096),
+)
+@settings(max_examples=150, deadline=None)
+def test_rasters_match_per_row_references_at_any_band_size(values, initial, rule, generations, cp, centered, block):
+    # one block size cuts shading blocks, raster bands and PGM blocks, so a drawn one puts
+    # band edges anywhere in either panel, beside diagrams wider or narrower than the pyramid
+    p = evolve(values)
+    mask = highlight_pyramid(p, values[-1:])
+    mask_rows = [row.tolist() for row in mask]
+    d = eca_evolve(initial, rule, generations)
+    diagram = d.rows.tolist()
+    alignment = "centered" if centered else "left"
+    pbm, pgm = (RenderSpec(format=f, cell_px=cp, alignment=alignment) for f in ("pbm", "pgm"))
+    with mock.patch.object(diffca.render, "_PGM_BLOCK", block):
+        assert render_compare(d, p, mask, pbm) == _pbm_by_row([diagram, mask_rows], cp, centered)
+        assert render_pbm(mask, pbm) == _pbm_by_row([mask_rows], cp, centered)
+        assert render_pgm(p, pgm) == _pgm_by_row(_python_grays(values, len(p)), cp, centered)
+        assert render_eca(d, pbm) == _pbm_by_row([diagram], cp, centered)
+        gray_rows = [[0 if cell else 255 for cell in row] for row in diagram]
+        assert render_eca(d, pgm) == _pgm_by_row(gray_rows, cp, centered)
+
+
+def test_a_raster_over_its_canvas_budget_is_refused_before_any_panel_is_painted():
+    # a 9000 x 9000 pyramid canvas: the int16 paints of its 4 501 500 cells alone would be 9 MB
+    n = 3000
+    p = evolve(np.zeros(n, dtype=np.uint64))
+    mask = highlight_pyramid(p, [0])
+    d = eca_evolve(impulse_row(n), 90, n - 1)
+    pbm, pgm = RenderSpec(format="pbm", cell_px=3), RenderSpec(format="pgm", cell_px=3)
+    for render in (lambda: render_pgm(p, pgm), lambda: render_pbm(mask, pbm), lambda: render_compare(d, p, mask, pbm)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                render()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(mask.packed[0])
 
 
 def test_renders_are_deterministic():
