@@ -200,19 +200,20 @@ def _layout(panels: list[Panel], spec: RenderSpec) -> tuple[int, int, list[tuple
 
     Returns the canvas width and height in pixels and the placed panels
     ``(y, xp, xrs, panel)``: ``y`` is the panel's top pixel row, ``xp`` its
-    offset in the canvas and ``xrs[t]`` row t's offset in the panel, both in
-    half pixels. Rasters floor the two offsets one by one; SVG writes their
-    sum exactly. Nothing is painted here: the callers paint each panel after
-    their size checks.
+    offset in the canvas in half pixels and ``xrs[t]`` row t's offset in the
+    panel in half cells, so that nothing here is an array of a huge
+    ``cell_px``'s multiples before the callers' size checks. Rasters floor the
+    two offsets one by one; SVG writes their sum exactly. Nothing is painted
+    here: the callers paint each panel after their size checks.
     """
     cp = spec.cell_px
     w = max(int(starts[1]) for _, starts, _, _ in panels) * cp
     placed, y = [], 0
     for panel in panels:
         starts = panel[1]
-        pw = int(starts[1]) * cp
-        xrs = pw - np.diff(starts) * cp if spec.alignment == "centered" else np.zeros(starts.size - 1, int)
-        placed.append((y, w - pw, xrs, panel))
+        cells = int(starts[1])
+        xrs = cells - np.diff(starts) if spec.alignment == "centered" else np.zeros(starts.size - 1, int)
+        placed.append((y, w - cells * cp, xrs, panel))
         y += starts.size * cp  # its rows and one blank row
     return w, y - cp, placed
 
@@ -255,7 +256,7 @@ def _raster(
                     if starts[-1] == rows * starts[1]:  # no row is longer than the first, so all are equal
                         made[y] = pixels.reshape(rows, -1), None  # written as one block, not row by row
                     else:
-                        at = ((y + np.arange(rows * cp)) * w + np.repeat(xp // 2 + xrs // 2, cp)).tolist()
+                        at = ((y + np.arange(rows * cp)) * w + np.repeat(xp // 2 + xrs * cp // 2, cp)).tolist()
                         ends = np.repeat(starts * cp, cp)
                         made[y] = memoryview(pixels), (at, ends[:-cp].tolist(), ends[cp:].tolist())
                 pixels, pixel_rows = made[y]
@@ -372,7 +373,7 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     for y, xp, xrs, panel in placed:
         s, paints = panel[1].tolist(), _paints(panel, INK)  # painted after the budget check
         for xr, a, b in zip(xrs.tolist(), s, s[1:]):
-            j = (xp + xr) // cp
+            j = xp // cp + xr  # xp is a multiple of cp
             row = rects[: 3 * (b - a)]
             row[0::3] = heads[j : j + 2 * (b - a) : 2]
             row[1::3] = f'{y}" width="{cp}" height="{cp}'

@@ -788,6 +788,15 @@ def test_a_raster_over_its_canvas_budget_is_refused_before_any_panel_is_painted(
         assert peak < len(mask.packed[0])
 
 
+def test_a_cell_size_past_int64_is_refused_by_the_canvas_budget():
+    # the canvas is sized in Python ints; no offset array of such a cell size is made before the check
+    d, p, mask = _compare_inputs()
+    for fmt in ("pbm", "pgm"):
+        spec = RenderSpec(format=fmt, cell_px=1 << 64, alignment="centered")
+        with pytest.raises(TooLarge):
+            render_compare(d, p, mask, spec) if fmt == "pbm" else render_pgm(p, spec)
+
+
 def test_renders_are_deterministic():
     d, p, mask = _compare_inputs()
     for spec in (RenderSpec(), RenderSpec(format="pbm"), RenderSpec(format="svg")):
