@@ -9,11 +9,14 @@ Subcommands:
 * ``selfcheck`` re-derive the built-in reference results
 * ``fixtures``  list the built-in inputs
 
-Each ``_cmd_*`` handler returns ``(artifact, lines)`` and writes nothing;
-``main`` alone writes stdout, stderr and ``--out`` and sets the exit status:
-0 on success, 1 for parse/value/IO failures and a failing ``selfcheck`` (one
-stderr line names the failing component), 2 for invalid flag combinations.
-A figure on stdout is written whole, or the run fails with ``error: io: …``.
+Each ``_cmd_*`` handler returns ``(parts, lines)`` and writes nothing: the
+figure as the parts a renderer's ``iter_*`` hands out, after every check
+of it has run, then its stdout lines. ``main`` alone writes stdout, stderr
+and ``--out`` and sets the exit status: 0 on success, 1 for parse/value/IO
+failures and a failing ``selfcheck`` (one stderr line names the failing
+component), 2 for invalid flag combinations. A figure is written part by
+part as it is made, never held whole; on stdout every byte of it is
+written, or the run fails with ``error: io: …``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .engine import MAX_PYRAMID_CELLS, TooLarge, evolve, make_symmetric
 from .expressions import ExpressionError, parse_expression, serialize_expression
 from .fixtures import DEFAULT_EVOLUTION, FIXTURE_IDS, UnknownFixture, load_fixture
 from .patterns import highlight_pyramid
-from .render import ALIGNMENTS, FORMATS, PALETTES, RenderSpec, render_compare, render_eca, render_pyramid
+from .render import ALIGNMENTS, FORMATS, PALETTES, RenderSpec, iter_compare, iter_eca, iter_pyramid
 
 __all__ = ["build_parser", "main"]
 
@@ -97,7 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULT_CELL_PX = {"ascii": 1, "pbm": 1, "pgm": 1, "svg": 12}
-_Output = tuple[str | bytes | None, list[str]]  # the artifact for --out or stdout, then stdout lines
+# the figure's parts for --out or stdout, then stdout lines
+_Output = tuple[Iterator[str] | Iterator[bytes] | None, list[str]]
+# characters of text parts encoded and written at once: a small figure is one write, then its newline
+_TEXT_GROUP = 1 << 18
 
 
 def _render_spec(args: argparse.Namespace) -> RenderSpec:
@@ -132,7 +139,7 @@ def _cmd_run(args: argparse.Namespace) -> _Output:
         row = make_symmetric(row)
     pyramid = evolve(row, max_generations=args.max_generations)
     mask = highlight_pyramid(pyramid, parse_expression(args.pattern)) if args.pattern else None
-    return render_pyramid(pyramid, mask, _render_spec(args)), []
+    return iter_pyramid(pyramid, mask, _render_spec(args)), []
 
 
 def _cmd_eca(args: argparse.Namespace) -> _Output:
@@ -151,7 +158,7 @@ def _cmd_eca(args: argparse.Namespace) -> _Output:
     TooLarge.check((args.generations + 1) * width, MAX_PYRAMID_CELLS, "diagram cells")
     initial = impulse_row(width) if row is None else row
     diagram = eca_evolve(initial, rule, args.generations, boundary=args.boundary)
-    return render_eca(diagram, _render_spec(args)), []
+    return iter_eca(diagram, _render_spec(args)), []
 
 
 def _is_impulse(row: np.ndarray) -> int | None:
@@ -174,7 +181,7 @@ def _cmd_compare(args: argparse.Namespace) -> _Output:
         direct, complement = impulse_agreement(mask, j0)
         lines = [f"in-cone agreement vs binomial parity: {direct:.6f}",
                  f"in-cone complement agreement: {complement:.6f}"]
-    return render_compare(diagram, pyramid, mask, _render_spec(args), diagram_label, pyramid_label), lines
+    return iter_compare(diagram, pyramid, mask, _render_spec(args), diagram_label, pyramid_label), lines
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> _Output:
@@ -222,20 +229,52 @@ _COMPONENTS: tuple[tuple[type[Exception], str], ...] = (
 _parser = functools.cache(build_parser)
 
 
+def _chunks(parts: Iterator[str] | Iterator[bytes]) -> Iterator[bytes]:
+    """A figure's bytes, in order.
+
+    bytes parts come as they are; text parts are encoded in groups of at
+    least ``_TEXT_GROUP`` characters, and a text figure ends with a newline,
+    a chunk of its own: joined to the last group it would copy a one-part figure.
+    """
+    group, size, text = [], 0, False
+    for part in parts:
+        if isinstance(part, bytes):
+            yield part
+            continue
+        group.append(part)
+        size += len(part)
+        text = True
+        if size >= _TEXT_GROUP:
+            yield "".join(group).encode("utf-8")
+            group, size = [], 0
+    if group:
+        yield "".join(group).encode("utf-8")
+    if text:
+        yield b"\n"
+
+
+def _write(stream: BinaryIO, parts: Iterator[str] | Iterator[bytes]) -> None:
+    for chunk in _chunks(parts):
+        view = memoryview(chunk)
+        while view:  # unbuffered, stdout is raw: one write may take only part of a chunk
+            view = view[stream.write(view) :]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        artifact, lines = args.handler(args)
+        parts, lines = args.handler(args)
         if getattr(args, "out", None) is not None:  # selfcheck and fixtures have no --out
-            with open(args.out, "wb") as f:  # text and its newline written apart: no second copy of the text
-                f.writelines([artifact] if isinstance(artifact, bytes) else [artifact.encode("utf-8"), b"\n"])
-        elif isinstance(artifact, bytes):
-            view = memoryview(artifact)
-            while view:  # unbuffered, stdout is raw: one write may take only part of the figure
-                view = view[sys.stdout.buffer.write(view) :]
-            sys.stdout.buffer.flush()
-        elif artifact is not None:
-            lines = [artifact, *lines]
+            with open(args.out, "wb") as f:  # opened only now: every check of the figure has passed
+                _write(f, parts)
+        elif parts is not None:
+            sys.stdout.flush()  # whatever the caller printed comes first
+            stdout = getattr(sys.stdout, "buffer", None)
+            if stdout is None:  # a text-only stream, such as io.StringIO: every figure is ASCII
+                sys.stdout.writelines(chunk.decode("ascii") for chunk in _chunks(parts))
+            else:
+                _write(stdout, parts)
+                stdout.flush()
         for line in lines:
             print(line)
     except tuple(exc for exc, _ in _COMPONENTS) as err:

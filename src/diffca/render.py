@@ -4,7 +4,9 @@ The pyramid layout mirrors the hand-drawn style of difference triangles:
 row t is one cell shorter than row t-1 and is centered beneath it, so each
 child sits visually between its two parents. PBM, PGM and SVG figures all
 come from one layout of paint rows (a pyramid or an elementary-CA diagram
-is one panel, a comparison two); each format only serializes it. Raster
+is one panel, a comparison two); each format only serializes it. PGM and
+SVG are serialized in parts, which ``iter_pyramid``, ``iter_eca`` and
+``iter_compare`` hand out one by one and each ``render_*`` joins. Raster
 output uses the plain (ASCII) portable-bitmap and portable-graymap formats
 so golden files stay diffable, and every writer here is deterministic:
 identical inputs give byte-identical output.
@@ -30,6 +32,9 @@ __all__ = [
     "PALETTES",
     "RenderSpec",
     "ShapeMismatch",
+    "iter_compare",
+    "iter_eca",
+    "iter_pyramid",
     "render_ascii",
     "render_compare",
     "render_eca",
@@ -273,13 +278,13 @@ def _raster(
     return w, h, bands()
 
 
-def _pbm(panels: list[Panel], spec: RenderSpec) -> bytes:
-    """Plain portable bitmap of the panels' ink bits: 1 (black) where inked, else 0.
+def _pbm(panels: list[Panel], spec: RenderSpec) -> Iterator[bytes]:
+    """Plain portable bitmap of the panels' ink bits, as one part: 1 (black) where inked, else 0.
 
     Pixel rows are cut into lines of at most ``_PNM_LINE`` digits. Each band of
     the raster is written straight into the document, its bits turned into
     digits as they are copied in, next to the newlines; the document is one
-    buffer of its known size, which becomes the returned bytes without a copy.
+    buffer of its known size, which becomes the one part without a copy.
     """
     w, h, bands = _raster(panels, spec, lambda panel: panel[2].view(np.uint8), blank=0)
     full, rest = divmod(w, _PNM_LINE)
@@ -302,7 +307,7 @@ def _pbm(panels: list[Panel], spec: RenderSpec) -> bytes:
         np.add(bits[:, full * _PNM_LINE :], ord("0"), out=rows[:, full * line : full * line + rest])
         rows[:, -1] = ord("\n")
     del out, body, rows, lines  # every view of the buffer: while one is alive, getvalue copies it
-    return doc.getvalue()
+    return iter((doc.getvalue(),))
 
 
 # A gray's plain-PGM slot: a separator, its 1 to 3 digits and NUL padding, as
@@ -313,20 +318,25 @@ _PGM_WIDTH = np.array([len(f" {g}") for g in range(256)], dtype=np.uint8)
 _SVG_FILLS = (*(f"#{g:02x}{g:02x}{g:02x}" for g in range(256)), "#1a1a1a")
 
 
-def _pgm(panels: list[Panel], spec: RenderSpec) -> bytes:
-    """Plain portable graymap with maxval 255.
+def _pgm(panels: list[Panel], spec: RenderSpec) -> Iterator[bytes]:
+    """Plain portable graymap with maxval 255 in parts: its header, one a block, the final newline.
 
     Each pixel row is filled greedily: a line takes tokens while it stays
     within ``_PNM_LINE`` bytes. The pixel rows are written in blocks of
-    about ``_PGM_BLOCK`` pixels, each by table lookups alone.
+    about ``_PGM_BLOCK`` pixels, each by table lookups alone. The canvas
+    budget is checked before this returns.
     """
     w, h, bands = _raster(panels, spec, lambda panel: _paints(panel, 0), BLANK)
     step = max(1, _PGM_BLOCK // w)  # a band of huge cells is more than one block
-    parts = [f"P2\n{w} {h}\n255".encode("ascii")]
-    for band in bands:
-        parts += [_pgm_lines(band[y : y + step].ravel(), w) for y in range(0, len(band), step)]
-    parts.append(b"\n")
-    return b"".join(parts)
+
+    def parts() -> Iterator[bytes]:
+        yield f"P2\n{w} {h}\n255".encode("ascii")
+        for band in bands:
+            for y in range(0, len(band), step):
+                yield _pgm_lines(band[y : y + step].ravel(), w)
+        yield b"\n"
+
+    return parts()
 
 
 def _pgm_lines(pixels: np.ndarray, w: int) -> bytes:
@@ -348,11 +358,13 @@ def _pgm_lines(pixels: np.ndarray, w: int) -> bytes:
     return body[body != 0].tobytes()
 
 
-def _svg(panels: list[Panel], spec: RenderSpec) -> str:
-    """SVG 1.1 document with one square per cell, row-major, exact coordinates.
+def _svg(panels: list[Panel], spec: RenderSpec) -> Iterator[str]:
+    """SVG 1.1 document in parts: its header, one a row of cells, then ``</svg>``.
 
-    A rect is three table lookups: a head by its x, its row's middle and a
-    tail by its paint. A row of rects is one join over the three, interleaved.
+    One square per cell, row-major, exact coordinates. A rect is three table
+    lookups: a head by its x, its row's middle and a tail by its paint. Each
+    row of rects is one part, a join over the three, interleaved. The byte
+    budget is checked before this returns.
     """
     cp = spec.cell_px
     w, h, placed = _layout(panels, spec)
@@ -364,28 +376,39 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> str:
     # every x in half pixels is j * cp, and a row's rects step j by 2: heads[j] is the head at j
     heads = np.array([f'<rect x="{x // 2}{".5" if x % 2 else ""}" y="' for x in range(0, 2 * w + 1, cp)], dtype=object)
     tails = np.array([f'" fill="{fill}"{edge}/>\n' for fill in _SVG_FILLS], dtype=object)
-    parts = [
+    header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}" '
         'shape-rendering="crispEdges">\n'
-    ]
-    rects = np.empty(3 * (w // cp), dtype=object)  # the widest row's heads, middles and tails
-    for y, xp, xrs, panel in placed:
-        s, paints = panel[1].tolist(), _paints(panel, INK)  # painted after the budget check
-        for xr, a, b in zip(xrs.tolist(), s, s[1:]):
-            j = xp // cp + xr  # xp is a multiple of cp
-            row = rects[: 3 * (b - a)]
-            row[0::3] = heads[j : j + 2 * (b - a) : 2]
-            row[1::3] = f'{y}" width="{cp}" height="{cp}'
-            row[2::3] = tails[paints[a:b]]
-            parts.append("".join(row.tolist()))  # one string a row, not a rect: half the peak memory
-            y += cp
-    del heads, rects  # before the document is joined: its parts and itself are the peak
-    parts.append("</svg>")
-    return "".join(parts)
+    )
+
+    def parts() -> Iterator[str]:
+        yield header
+        rects = np.empty(3 * (w // cp), dtype=object)  # the widest row's heads, middles and tails
+        for y, xp, xrs, panel in placed:
+            s, paints = panel[1].tolist(), _paints(panel, INK)  # painted after the budget check
+            for xr, a, b in zip(xrs.tolist(), s, s[1:]):
+                j = xp // cp + xr  # xp is a multiple of cp
+                row = rects[: 3 * (b - a)]
+                row[0::3] = heads[j : j + 2 * (b - a) : 2]
+                row[1::3] = f'{y}" width="{cp}" height="{cp}'
+                row[2::3] = tails[paints[a:b]]
+                yield "".join(row.tolist())  # one string a row, not a rect: half the peak memory
+                y += cp
+        yield "</svg>"
+
+    return parts()
 
 
 _SERIALIZERS = {"pbm": _pbm, "pgm": _pgm, "svg": _svg}
+
+
+def _joined(parts: Iterator[str] | Iterator[bytes], spec: RenderSpec) -> str | bytes:
+    """The figure the parts make up: text for ascii and svg, bytes for pbm and pgm.
+
+    A figure of one part is that part, not a copy.
+    """
+    return ("" if spec.format in ("ascii", "svg") else b"").join(parts)
 
 
 def render_pbm(mask: HighlightMask, spec: RenderSpec | None = None) -> bytes:
@@ -394,12 +417,12 @@ def render_pbm(mask: HighlightMask, spec: RenderSpec | None = None) -> bytes:
     Each cell becomes a ``cell_px`` square; row t occupies the t-th band,
     centered (or flush left). Output is bit-exact for identical inputs.
     """
-    return _pbm([(*mask.packed, mask.packed[0], False)], spec or RenderSpec())
+    return b"".join(_pbm([(*mask.packed, mask.packed[0], False)], spec or RenderSpec()))
 
 
 def render_pgm(p: Pyramid, spec: RenderSpec | None = None) -> bytes:
     """Plain portable graymap of an unmasked pyramid, shaded by value."""
-    return _pgm([(*p.packed, None, True)], spec or RenderSpec())
+    return b"".join(_pgm([(*p.packed, None, True)], spec or RenderSpec()))
 
 
 def render_svg(
@@ -414,7 +437,10 @@ def render_svg(
     :class:`TooLarge`, before writing any rect, when cells × the longest
     rect would exceed ``4 * MAX_CANVAS_PIXELS`` bytes.
     """
-    spec = spec or RenderSpec()
+    return "".join(_pyramid_svg(p, mask, spec or RenderSpec()))
+
+
+def _pyramid_svg(p: Pyramid, mask: HighlightMask | None, spec: RenderSpec) -> Iterator[str]:
     _check_congruent(p, mask)
     shade = spec.palette == "grayscale" or (mask is None and spec.palette == "values")
     return _svg([(*p.packed, None if mask is None else mask.packed[0], shade)], spec)
@@ -429,12 +455,23 @@ def render_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> str | bytes:
     Dispatches on ``spec.format``: ascii ('#' and '.'), pbm, pgm or svg.
     """
     spec = spec or RenderSpec()
+    return _joined(iter_eca(d, spec), spec)
+
+
+def iter_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> Iterator[str] | Iterator[bytes]:
+    """:func:`render_eca`'s figure in parts, whose join is that figure.
+
+    Every check runs before this returns. ascii and pbm are one part each;
+    svg is its header, a part a row of cells and its end tag; pgm its
+    header, a part a block of pixel rows and its final newline.
+    """
+    spec = spec or RenderSpec()
     if spec.format == "ascii":
         # one glyph per cell and a newline after each row, the last one dropped
         text = np.full((d.rows.shape[0], d.rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
         glyphs = np.frombuffer((EMPTY_GLYPH + FILLED_GLYPH).encode(), np.uint8)
         np.take(glyphs, d.rows, out=text[:, :-1], mode="clip")  # cells are 0 or 1: no bounds check needed
-        return text.tobytes()[:-1].decode("ascii")
+        return iter((text.tobytes()[:-1].decode("ascii"),))
     return _SERIALIZERS[spec.format]([_diagram_panel(d)], spec)
 
 
@@ -462,6 +499,25 @@ def render_pyramid(
     return render_pgm(p, spec)
 
 
+def iter_pyramid(
+    p: Pyramid,
+    mask: HighlightMask | None = None,
+    spec: RenderSpec | None = None,
+) -> Iterator[str] | Iterator[bytes]:
+    """:func:`render_pyramid`'s figure in parts, whose join is that figure.
+
+    Every check runs before this returns. svg and pgm come in parts as
+    :func:`iter_eca` describes; ascii and pbm are the one part
+    :func:`render_pyramid` returns.
+    """
+    spec = spec or RenderSpec()
+    if spec.format == "svg":
+        return _pyramid_svg(p, mask, spec)
+    if spec.format == "pgm" and mask is None:
+        return _pgm([(*p.packed, None, True)], spec)
+    return iter((render_pyramid(p, mask, spec),))  # pgm with a mask raises there
+
+
 def render_compare(
     d: EcaDiagram,
     p: Pyramid,
@@ -477,10 +533,27 @@ def render_compare(
     two-panel composition and is rejected.
     """
     spec = spec or RenderSpec()
+    return _joined(iter_compare(d, p, mask, spec, diagram_label, pyramid_label), spec)
+
+
+def iter_compare(
+    d: EcaDiagram,
+    p: Pyramid,
+    mask: HighlightMask,
+    spec: RenderSpec | None = None,
+    diagram_label: str = "elementary rule",
+    pyramid_label: str = "difference pyramid",
+) -> Iterator[str] | Iterator[bytes]:
+    """:func:`render_compare`'s figure in parts, whose join is that figure.
+
+    Every check runs before this returns. ascii and pbm are one part each;
+    svg comes in parts as :func:`iter_eca` describes.
+    """
+    spec = spec or RenderSpec()
     _check_congruent(p, mask)
     if spec.format == "ascii":
         diagram, pyramid = render_eca(d, spec), render_ascii(p, mask, replace(spec, palette="mask"))
-        return f"== {diagram_label} ==\n{diagram}\n\n== {pyramid_label} ==\n{pyramid}"
+        return iter((f"== {diagram_label} ==\n{diagram}\n\n== {pyramid_label} ==\n{pyramid}",))
     if spec.format == "pgm":
         raise ValueError("compare artifacts support ascii, pbm or svg")
     shade = spec.format == "svg" and spec.palette == "grayscale"

@@ -93,15 +93,16 @@ def test_run_artifacts_are_byte_stable(tmp_path):
 
 def test_run_writes_a_text_figure_without_copying_it(tmp_path):
     out = tmp_path / "p.svg"
-    row = "-".join(str((i * 7) % 10) for i in range(300))
+    row = "-".join(str((i * 7) % 10) for i in range(600))
     tracemalloc.start()
     try:
         assert run_cli("run", "--input", row, "--format", "svg", "--out", str(out)) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the document, its encoding and the render's own working set; not a second copy
-    assert peak < 2.5 * out.stat().st_size
+    # a 17.6 MB file: the pyramid, its paints and one encoded group of rows, never
+    # the document (holding it and its encoding was 2.04x)
+    assert peak < 0.25 * out.stat().st_size
 
 
 def test_run_shades_the_full_cell_range_as_pgm(capsys):
@@ -303,7 +304,7 @@ def test_fixture_rows_match_the_listing(capsys):
 
 # ----------------------------------------------------------- one writer
 
-# each handler once, with the kind of artifact and the number of stdout lines it returns
+# each handler once, with the kind of its figure's parts and the number of stdout lines it returns
 HANDLER_CALLS = [
     (["run", "--input", "2-0-1-4", "--pattern", "1-", "--format", "pbm"], bytes, 0),
     (["eca", "--rule", "90", "--generations", "2"], str, 0),
@@ -316,14 +317,29 @@ HANDLER_CALLS = [
 @pytest.mark.parametrize("argv, kind, count", HANDLER_CALLS, ids=[" ".join(c[0]) for c in HANDLER_CALLS])
 def test_handlers_return_their_output_and_main_alone_writes_it(argv, kind, count, capsysbinary):
     args = build_parser().parse_args(argv)
-    artifact, lines = args.handler(args)
+    parts, lines = args.handler(args)
     assert capsysbinary.readouterr() == (b"", b"")
+    artifact = None if parts is None else kind().join(parts)  # a part of another kind fails the join
     assert isinstance(artifact, kind) and len(lines) == count
     # main writes the artifact (a text one with its newline), then one line each
     head = artifact if isinstance(artifact, bytes) else b"" if artifact is None else (artifact + "\n").encode()
     expected = head + "".join(f"{line}\n" for line in lines).encode()
     assert main(argv) == 0
     assert capsysbinary.readouterr() == (expected, b"")
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv for argv, kind, _ in HANDLER_CALLS if kind is not type(None)),
+    ["run", "--input", "2-0-1-4", "--format", "svg"],
+    ["run", "--input", "2-0-1-4", "--format", "pgm"],
+], ids=" ".join)
+def test_a_stdout_without_a_binary_layer_gets_the_same_text(argv, capsysbinary):
+    assert main(argv) == 0
+    expected = capsysbinary.readouterr().out.decode("ascii")
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue() == expected
 
 
 # ---------------------------------------------------------- transcripts
@@ -404,13 +420,20 @@ def test_a_process_writes_a_binary_figure_then_its_text_lines():
                                     b"in-cone complement agreement: 0.000000\n")
 
 
-def test_a_figure_cut_short_by_a_closed_pipe_fails_under_unbuffered_stdio():
+# a figure of one part, and one written in parts as it is made
+CUT_SHORT = {
+    "pbm": (["eca", "--rule", "90", "--generations", "300", "--format", "pbm"], b"P1\n601 301"),  # 183 KB
+    "svg": (["eca", "--rule", "90", "--generations", "100", "--format", "svg"], b"<svg xmlns"),  # 1.9 MB
+}
+
+
+@pytest.mark.parametrize("argv, head", CUT_SHORT.values(), ids=CUT_SHORT)
+def test_a_figure_cut_short_by_a_closed_pipe_fails_under_unbuffered_stdio(argv, head):
     # under -u, stdout's binary layer is raw: a write that the closed pipe cut short
     # returns a count and raises nothing, so only the next write can report it
-    argv = ["eca", "--rule", "90", "--generations", "300", "--format", "pbm"]  # a 183 KB figure
     with subprocess.Popen([sys.executable, "-u", "-W", "error", "-m", "diffca.cli", *argv], env=_process_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0) as proc:
-        assert proc.stdout.read(10) == b"P1\n601 301"
+        assert proc.stdout.read(10) == head
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 1
@@ -635,8 +658,26 @@ def test_readme_size_edges_hold_on_both_sides(monkeypatch, capsys):
     assert run_cli("eca", "--rule", "90", "--generations", str(generations)) == 1
     assert "diagram cells exceed" in capsys.readouterr().err
     # the edges themselves pass every budget; their ~50 MB ascii figures are not drawn
-    monkeypatch.setattr(cli, "render_pyramid", lambda *args: "")
-    monkeypatch.setattr(cli, "render_eca", lambda *args: "")
+    monkeypatch.setattr(cli, "iter_pyramid", lambda *args: iter([""]))
+    monkeypatch.setattr(cli, "iter_eca", lambda *args: iter([""]))
     assert run_cli("run", "--input", zeros(cells)) == 0
     assert run_cli("eca", "--rule", "90", "--generations", str(generations - 1)) == 0
     assert capsys.readouterr() == ("\n\n", "")
+
+
+def test_a_refused_figure_opens_no_out_file_and_writes_nothing(tmp_path, capsysbinary):
+    # every check of a figure runs before --out is opened or a byte reaches stdout
+    svg_cells = readme_count(r"`run --format svg` stops above (\d[\d ]*) input cells")
+    refused = [
+        ["run", "--input", zeros(svg_cells + 1), "--format", "svg"],
+        # a 5801 x 2901 diagram at --cell-px 2: 67 314 804 pixels, past MAX_CANVAS_PIXELS
+        ["eca", "--rule", "90", "--generations", "2900", "--format", "pbm", "--cell-px", "2"],
+    ]
+    for argv in refused:
+        out = tmp_path / "figure"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert not out.exists()
+        assert run_cli(*argv) == 1
+        stdout, stderr = capsysbinary.readouterr()
+        assert stdout == b"", argv
+        assert [line[:13] for line in stderr.splitlines()] == [b"error: size: "] * 2, stderr

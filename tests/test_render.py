@@ -15,8 +15,14 @@ from diffca.engine import MAX_CELL, TooLarge, evolve
 from diffca.patterns import highlight_pyramid
 from diffca.render import (
     _PGM_BLOCK,
+    ALIGNMENTS,
+    FORMATS,
+    PALETTES,
     RenderSpec,
     ShapeMismatch,
+    iter_compare,
+    iter_eca,
+    iter_pyramid,
     render_ascii,
     render_compare,
     render_eca,
@@ -669,6 +675,82 @@ def test_compare_rejects_pgm():
     d, p, mask = _compare_inputs()
     with pytest.raises(ValueError):
         render_compare(d, p, mask, RenderSpec(format="pgm"))
+
+
+# --------------------------------------------------------------- parts
+
+
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=9),
+    st.none() | st.integers(0, 12),
+    st.lists(st.integers(0, 1), min_size=1, max_size=9),
+    st.integers(0, 4),
+    st.sampled_from(FORMATS),
+    st.sampled_from(PALETTES),
+    st.sampled_from(ALIGNMENTS),
+    st.integers(1, 13),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_parts_of_every_figure_join_to_its_rendering(values, pattern, bits, generations, fmt, palette,
+                                                         alignment, cp):
+    spec = RenderSpec(format=fmt, cell_px=cp, alignment=alignment, palette=palette)
+    kind = str if fmt in ("ascii", "svg") else bytes
+    p = evolve(values)
+    mask = None if pattern is None else highlight_pyramid(p, [pattern])
+    d = eca_evolve(bits, 90, generations)
+    figures = [  # each with its rows of cells
+        (iter_pyramid, render_pyramid, (p, mask, spec), len(p)),
+        (iter_eca, render_eca, (d, spec), len(d.rows)),
+        (iter_compare, render_compare, (d, p, highlight_pyramid(p, values[:1]), spec, "top", "bottom"),
+         len(d.rows) + len(p)),
+    ]
+    for iterate, render, args, rows in figures:
+        try:
+            figure = render(*args)
+        except ValueError as err:  # pbm without a mask, pgm with one, and a pgm compare figure
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                iterate(*args)
+            continue
+        parts = list(iterate(*args))
+        assert all(type(part) is kind for part in parts)
+        assert kind().join(parts) == figure
+        if fmt == "svg":  # the header, a part a row of cells, the end tag
+            assert len(parts) == rows + 2 and parts[-1] == "</svg>"
+        elif fmt == "pgm":  # the header, a part a block of pixel rows, the final newline
+            assert parts[0].startswith(b"P2\n") and parts[-1] == b"\n" and len(parts) >= 3
+        else:
+            assert len(parts) == 1
+
+
+def test_every_check_of_a_figure_runs_before_its_first_part(monkeypatch):
+    # each call raises by itself: a figure is refused before anything asks for a part
+    d, p, mask = _compare_inputs()
+    foreign = highlight_pyramid(evolve([1, 2]), [1])
+    svg, pgm, pbm = (RenderSpec(format=f) for f in ("svg", "pgm", "pbm"))
+    with pytest.raises(ShapeMismatch):
+        iter_pyramid(p, foreign, svg)
+    with pytest.raises(ShapeMismatch):
+        iter_compare(d, p, foreign, svg)
+    with pytest.raises(ValueError, match="supply a pattern"):
+        iter_pyramid(p, None, pbm)
+    with pytest.raises(ValueError, match="drop the pattern"):
+        iter_pyramid(p, mask, pgm)
+    with pytest.raises(ValueError, match="ascii, pbm or svg"):
+        iter_compare(d, p, mask, pgm)
+    monkeypatch.setattr(diffca.render, "MAX_CANVAS_PIXELS", 10)  # below every 5-cell figure
+    over = [
+        (iter_pyramid, (p, mask, svg)),
+        (iter_pyramid, (p, None, pgm)),
+        (iter_pyramid, (p, mask, pbm)),
+        (iter_eca, (d, svg)),
+        (iter_eca, (d, pgm)),
+        (iter_eca, (d, pbm)),
+        (iter_compare, (d, p, mask, svg)),
+        (iter_compare, (d, p, mask, pbm)),
+    ]
+    for iterate, args in over:
+        with pytest.raises(TooLarge):
+            iterate(*args)
 
 
 @pytest.mark.parametrize("cp", [1, 2, 3])
