@@ -238,28 +238,20 @@ def impulse_agreement(mask: HighlightMask, impulse_index: int) -> tuple[float, f
     # rectangle is a window of u plus a
     b_cols, a_rows = min(j0 + 1, h), min(n - j0, h)
     t = np.arange(a_rows + b_cols - 1)
-    u = starts.take(t, mode="clip") - t + j0  # a t past the cut indexes nothing real
+    u = starts.take(t, mode="clip") - t + j0  # a t past the cut indexes no cell of its own
     windows = sliding_window_view(u, b_cols)
     small = np.min_scalar_type(h)  # holds every a and b, so a & b is computed narrow
     b = np.arange(b_cols, dtype=small)
-    cut = a_rows + b_cols - 1 > h  # only a truncated mask has cells past its last row
-    total = 0 if cut else a_rows * b_cols
+    # a truncated mask lacks the rectangle's corner a + b >= h, a triangle of side over
+    over = max(0, a_rows + b_cols - 1 - h)
+    total = a_rows * b_cols - over * (over + 1) // 2
     direct = 0
     step = min(a_rows, max(1, _AGREEMENT_BLOCK // b_cols))  # whole a-rows per block
-    # the blocks' index, gathered cells, a & b and parity, made once and refilled
-    index = np.empty((step, b_cols), np.intp)
-    got = np.empty((step, b_cols), np.bool_)
-    both = np.empty((step, b_cols), small)
-    odd = np.empty((step, b_cols), np.bool_)
     for a0 in range(0, a_rows, step):
         a = np.arange(a0, min(a0 + step, a_rows), dtype=small)[:, None]
-        k = a.shape[0]
-        cells.take(np.add(windows[a0 : a0 + k], a, out=index[:k]), mode="clip", out=got[:k])
-        np.equal(np.bitwise_and(a, b, out=both[:k]), 0, out=odd[:k])
-        hit = np.equal(got[:k], odd[:k], out=got[:k])
-        if cut:  # clip the cells past the cut into range and count them out
-            inside = b < h - a  # a + b < h, without a sum that could outgrow the dtype
-            hit &= inside
-            total += int(np.count_nonzero(inside))
+        # an index past the cut wraps onto some real cell, which the corner test counts out
+        hit = cells.take(windows[a0 : a0 + step] + a, mode="wrap") == ((a & b) == 0)
+        if over:
+            hit &= b < h - a  # a + b < h, without a sum that could outgrow the dtype
         direct += int(np.count_nonzero(hit))
     return direct / total, (total - direct) / total

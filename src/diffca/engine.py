@@ -103,13 +103,15 @@ def as_row(values: RowLike) -> np.ndarray:
 
 
 class _Spares:
-    """Memory maps whose arrays are gone, kept for the next buffer: at most two.
+    """Memory maps whose arrays are gone, kept for the next buffer: at most two, of 128 MiB in all.
 
     A map's pages stay resident while it waits, so a buffer taken from it
-    needs no fresh zeroed pages from the OS.
+    needs no fresh zeroed pages from the OS; the byte budget bounds what an
+    idle process holds.
     """
 
     keep = 2
+    budget = 128 << 20  # above a 4000-cell uint64 pyramid and its mask, below one near MAX_PYRAMID_CELLS
 
     def __init__(self) -> None:
         self.maps: list[mmap.mmap] = []
@@ -131,10 +133,12 @@ class _Spares:
         return m
 
     def give(self, m: mmap.mmap) -> None:
-        """Keep ``m``, whose array is being collected, dropping the oldest spare past ``keep``."""
+        """Keep ``m``, whose array is being collected, dropping the oldest spares past ``keep`` or ``budget``."""
         with self.lock:
             self.maps.append(m)
             del self.maps[: -self.keep]
+            while sum(map(len, self.maps)) > self.budget:  # m itself goes if it alone is over
+                del self.maps[0]
 
 
 class Triangle:
@@ -175,10 +179,11 @@ class Triangle:
         When the array and every view of it are gone, its map becomes a spare,
         and the next buffer that fits takes the smallest spare instead of new
         pages, which the OS would have to zero on first touch. At most two
-        spares are kept, and their pages stay resident while they wait; a
-        buffer that none fits drops them all first. Smaller buffers stay on
-        the heap: a map takes whole pages (mapping them too added 0.5-1 MB to
-        the benchmark's peak RSS) and one of a process's ~65k maps.
+        spares of 128 MiB in all are kept, and their pages stay resident while
+        they wait; a buffer that none fits drops them all first. Smaller
+        buffers stay on the heap: a map takes whole pages (mapping them too
+        added 0.5-1 MB to the benchmark's peak RSS) and one of a process's
+        ~65k maps.
         """
         nbytes = size * np.dtype(dtype).itemsize
         if nbytes < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):  # small, or not Linux

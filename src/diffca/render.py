@@ -362,9 +362,9 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> Iterator[str]:
     """SVG 1.1 document in parts: its header, one a row of cells, then ``</svg>``.
 
     One square per cell, row-major, exact coordinates. A rect is three table
-    lookups: a head by its x, its row's middle and a tail by its paint. Each
-    row of rects is one part, a join over the three, interleaved. The byte
-    budget is checked before this returns.
+    lookups: a head by its x, its row's middle and a tail by its paint, the
+    tails looked up once a panel. Each row of rects is one part, a join over
+    the three, interleaved. The byte budget is checked before this returns.
     """
     cp = spec.cell_px
     w, h, placed = _layout(panels, spec)
@@ -386,13 +386,13 @@ def _svg(panels: list[Panel], spec: RenderSpec) -> Iterator[str]:
         yield header
         rects = np.empty(3 * (w // cp), dtype=object)  # the widest row's heads, middles and tails
         for y, xp, xrs, panel in placed:
-            s, paints = panel[1].tolist(), _paints(panel, INK)  # painted after the budget check
+            s, fills = panel[1].tolist(), tails[_paints(panel, INK)]  # painted after the budget check
             for xr, a, b in zip(xrs.tolist(), s, s[1:]):
                 j = xp // cp + xr  # xp is a multiple of cp
                 row = rects[: 3 * (b - a)]
                 row[0::3] = heads[j : j + 2 * (b - a) : 2]
                 row[1::3] = f'{y}" width="{cp}" height="{cp}'
-                row[2::3] = tails[paints[a:b]]
+                row[2::3] = fills[a:b]
                 yield "".join(row.tolist())  # one string a row, not a rect: half the peak memory
                 y += cp
         yield "</svg>"

@@ -608,6 +608,33 @@ def test_spares_keep_at_most_two_maps_and_serve_the_smallest_that_fits(spares):
     assert len(spares.maps) == 2
 
 
+def test_spares_hold_at_most_their_byte_budget_and_drop_the_oldest_first(spares):
+    mib = 1 << 20
+    assert spares.budget == 128 * mib
+    # maps never touched take no resident pages, however large
+    maps = {size: mmap.mmap(-1, size * mib, flags=mmap.MAP_PRIVATE) for size in (100, 20, 10, 120, 200, 128)}
+    for size, kept in ((100, [100]), (20, [100, 20]), (10, [20, 10]), (120, [120]), (200, []), (128, [128])):
+        spares.give(maps[size])
+        assert [len(m) // mib for m in spares.maps] == kept, size
+
+
+def test_a_dropped_pyramid_past_the_spare_budget_gives_its_pages_back(spares):
+    # a 6000-cell full-range pyramid fills a 137 MiB map, past the spares' budget,
+    # and its mask an 18 MB one; once both are dropped only the mask's may stay
+    def rss() -> int:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[1]) * mmap.PAGESIZE
+
+    start = rss()
+    row = np.random.default_rng(1).integers(0, MAX_CELL, 6000, dtype=CELL_DTYPE, endpoint=True)
+    p = evolve(row)
+    mask = highlight_pyramid(p, [int(row[3000])])
+    assert rss() - start > p.packed[0].nbytes
+    del p, mask
+    assert rss() - start < 32 << 20
+    assert sum(map(len, spares.maps)) <= spares.budget
+
+
 def test_two_threads_evolving_and_highlighting_at_once_match_the_oracle(spares):
     rng = np.random.default_rng(3)
     inputs = (
