@@ -13,7 +13,6 @@ missing neighbors (an explicit sea of zeros), ``"periodic"`` wraps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,19 +72,13 @@ def rule_table(number: int) -> EcaRule:
     return EcaRule(number)
 
 
-RuleLike = Union[int, EcaRule]
-
-
-def impulse_row(width: int, index: int | None = None) -> np.ndarray:
-    """A row of zeros with a single 1 (centered unless ``index`` is given)."""
+def impulse_row(width: int) -> np.ndarray:
+    """A row of zeros with a single 1 at its center, ``width // 2``."""
     width = as_integer(width, "width")
     if width < 1:
         raise ValueError("width is at least 1")
-    hot = width // 2 if index is None else as_integer(index, "index")
-    if not 0 <= hot < width:
-        raise ValueError(f"impulse index {hot} outside a width-{width} row")
     row = np.zeros(width, dtype=np.uint8)
-    row[hot] = 1
+    row[width // 2] = 1
     return row
 
 
@@ -183,7 +176,7 @@ class EcaDiagram:
 
 def eca_evolve(
     initial: RowLike,
-    rule: RuleLike,
+    rule: int | EcaRule,
     generations: int,
     boundary: str = "zero",
 ) -> EcaDiagram:

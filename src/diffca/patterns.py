@@ -45,18 +45,14 @@ def _cover(cells: np.ndarray, s: np.ndarray, starts: np.ndarray, rows: int, out:
         return 0
     s = s.astype(cells.dtype)
     compared = int(starts[rows])
-    if k == 1:
-        out[compared:] = False  # the mask may sit in a recycled map
-        np.equal(cells[:compared], s[0], out=out[:compared])
-        return compared
     m = compared - k + 1  # possible starts, all in those rows
-    hits = cells[:m] == s[0]
+    hits = np.equal(cells[:m], s[0], out=out[:m])
     for j in range(1, k):
-        hits &= np.equal(cells[j : m + j], s[j], out=out[:m])
+        hits &= cells[j : m + j] == s[j]
         hits[starts[1:rows] - j] = False  # a start within k - 1 cells of a row end crosses it
-    out.fill(False)
-    for j in range(k):
-        out[j : m + j] |= hits  # each occurrence covers its k cells
+    out[m:] = False  # the mask may sit in a recycled map
+    for _ in range(k - 1):
+        out[1:compared] |= out[: compared - 1]  # widen each start over its occurrence's k cells
     return compared
 
 

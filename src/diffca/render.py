@@ -73,9 +73,12 @@ class ShapeMismatch(ValueError):
 class RenderSpec:
     """How to draw: output format, raster scale and layout.
 
-    ``palette`` picks what unhighlighted cells show: ``"values"`` keeps the
-    digits (ascii) or flat fill (svg), ``"mask"`` blanks them to '.', and
-    ``"grayscale"`` shades by value, darkest at each row's maximum.
+    ``palette`` picks what a pyramid's unhighlighted cells show, per format.
+    In ascii, ``"mask"`` blanks them to '.', and ``"values"`` and
+    ``"grayscale"`` print their digits. In svg, ``"grayscale"`` always shades
+    by value, darkest at each row's maximum, and ``"values"`` shades only
+    without a mask; unshaded cells are blank. pgm always shades, and pbm
+    draws ink only. Every renderer's ``spec`` defaults to ``RenderSpec()``.
     """
 
     format: str = "ascii"
@@ -104,7 +107,7 @@ def _check_congruent(p: Pyramid, mask: HighlightMask | None) -> None:
 def render_ascii(
     p: Pyramid,
     mask: HighlightMask | None = None,
-    spec: RenderSpec | None = None,
+    spec: RenderSpec = RenderSpec(),
 ) -> str:
     """One text line per generation.
 
@@ -113,7 +116,6 @@ def render_ascii(
     :data:`FILLED_GLYPH`; unmatched cells keep their digits under the
     ``"values"`` palette or turn into '.' under ``"mask"``.
     """
-    spec = spec or RenderSpec()
     _check_congruent(p, mask)
     cells, starts = p.packed
     matched = None if mask is None else mask.packed[0]
@@ -411,24 +413,24 @@ def _joined(parts: Iterator[str] | Iterator[bytes], spec: RenderSpec) -> str | b
     return ("" if spec.format in ("ascii", "svg") else b"").join(parts)
 
 
-def render_pbm(mask: HighlightMask, spec: RenderSpec | None = None) -> bytes:
+def render_pbm(mask: HighlightMask, spec: RenderSpec = RenderSpec()) -> bytes:
     """Plain portable bitmap of a highlight mask; matched cells are black.
 
     Each cell becomes a ``cell_px`` square; row t occupies the t-th band,
     centered (or flush left). Output is bit-exact for identical inputs.
     """
-    return b"".join(_pbm([(*mask.packed, mask.packed[0], False)], spec or RenderSpec()))
+    return b"".join(_pbm([(*mask.packed, mask.packed[0], False)], spec))
 
 
-def render_pgm(p: Pyramid, spec: RenderSpec | None = None) -> bytes:
+def render_pgm(p: Pyramid, spec: RenderSpec = RenderSpec()) -> bytes:
     """Plain portable graymap of an unmasked pyramid, shaded by value."""
-    return b"".join(_pgm([(*p.packed, None, True)], spec or RenderSpec()))
+    return b"".join(_pgm([(*p.packed, None, True)], spec))
 
 
 def render_svg(
     p: Pyramid,
     mask: HighlightMask | None = None,
-    spec: RenderSpec | None = None,
+    spec: RenderSpec = RenderSpec(),
 ) -> str:
     """SVG 1.1 document with one rectangle per cell, emitted row-major.
 
@@ -437,7 +439,7 @@ def render_svg(
     :class:`TooLarge`, before writing any rect, when cells × the longest
     rect would exceed ``4 * MAX_CANVAS_PIXELS`` bytes.
     """
-    return "".join(_pyramid_svg(p, mask, spec or RenderSpec()))
+    return "".join(_pyramid_svg(p, mask, spec))
 
 
 def _pyramid_svg(p: Pyramid, mask: HighlightMask | None, spec: RenderSpec) -> Iterator[str]:
@@ -449,23 +451,21 @@ def _pyramid_svg(p: Pyramid, mask: HighlightMask | None, spec: RenderSpec) -> It
 # ----------------------------------------------------------------- eca
 
 
-def render_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> str | bytes:
+def render_eca(d: EcaDiagram, spec: RenderSpec = RenderSpec()) -> str | bytes:
     """Rectangular rendering of an elementary-CA diagram; 1 is ink.
 
     Dispatches on ``spec.format``: ascii ('#' and '.'), pbm, pgm or svg.
     """
-    spec = spec or RenderSpec()
     return _joined(iter_eca(d, spec), spec)
 
 
-def iter_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> Iterator[str] | Iterator[bytes]:
+def iter_eca(d: EcaDiagram, spec: RenderSpec = RenderSpec()) -> Iterator[str] | Iterator[bytes]:
     """:func:`render_eca`'s figure in parts, whose join is that figure.
 
     Every check runs before this returns. ascii and pbm are one part each;
     svg is its header, a part a row of cells and its end tag; pgm its
     header, a part a block of pixel rows and its final newline.
     """
-    spec = spec or RenderSpec()
     if spec.format == "ascii":
         # one glyph per cell and a newline after each row, the last one dropped
         text = np.full((d.rows.shape[0], d.rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
@@ -481,10 +481,9 @@ def iter_eca(d: EcaDiagram, spec: RenderSpec | None = None) -> Iterator[str] | I
 def render_pyramid(
     p: Pyramid,
     mask: HighlightMask | None = None,
-    spec: RenderSpec | None = None,
+    spec: RenderSpec = RenderSpec(),
 ) -> str | bytes:
     """Render a pyramid in ``spec.format``, with or without a mask."""
-    spec = spec or RenderSpec()
     if spec.format == "ascii":
         return render_ascii(p, mask, spec)
     if spec.format == "svg":
@@ -502,7 +501,7 @@ def render_pyramid(
 def iter_pyramid(
     p: Pyramid,
     mask: HighlightMask | None = None,
-    spec: RenderSpec | None = None,
+    spec: RenderSpec = RenderSpec(),
 ) -> Iterator[str] | Iterator[bytes]:
     """:func:`render_pyramid`'s figure in parts, whose join is that figure.
 
@@ -510,7 +509,6 @@ def iter_pyramid(
     :func:`iter_eca` describes; ascii and pbm are the one part
     :func:`render_pyramid` returns.
     """
-    spec = spec or RenderSpec()
     if spec.format == "svg":
         return _pyramid_svg(p, mask, spec)
     if spec.format == "pgm" and mask is None:
@@ -522,7 +520,7 @@ def render_compare(
     d: EcaDiagram,
     p: Pyramid,
     mask: HighlightMask,
-    spec: RenderSpec | None = None,
+    spec: RenderSpec = RenderSpec(),
     diagram_label: str = "elementary rule",
     pyramid_label: str = "difference pyramid",
 ) -> str | bytes:
@@ -532,7 +530,6 @@ def render_compare(
     blank cell row apart, each centered on the wider. pgm has no sensible
     two-panel composition and is rejected.
     """
-    spec = spec or RenderSpec()
     return _joined(iter_compare(d, p, mask, spec, diagram_label, pyramid_label), spec)
 
 
@@ -540,7 +537,7 @@ def iter_compare(
     d: EcaDiagram,
     p: Pyramid,
     mask: HighlightMask,
-    spec: RenderSpec | None = None,
+    spec: RenderSpec = RenderSpec(),
     diagram_label: str = "elementary rule",
     pyramid_label: str = "difference pyramid",
 ) -> Iterator[str] | Iterator[bytes]:
@@ -549,7 +546,6 @@ def iter_compare(
     Every check runs before this returns. ascii and pbm are one part each;
     svg comes in parts as :func:`iter_eca` describes.
     """
-    spec = spec or RenderSpec()
     _check_congruent(p, mask)
     if spec.format == "ascii":
         diagram, pyramid = render_eca(d, spec), render_ascii(p, mask, replace(spec, palette="mask"))

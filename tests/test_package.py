@@ -1,6 +1,7 @@
 """The package root re-exports each module's public names; modules share only those."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import diffca
@@ -25,3 +26,14 @@ def test_no_module_imports_a_private_name_of_another():
                 names = [a.name for a in node.names if a.name.startswith("_")]
                 imported += [(path.name, node.module, name) for name in names]
     assert imported == []
+
+
+def test_every_renderer_defaults_its_spec_to_a_render_spec():
+    # a None sentinel would bring back a `spec = spec or RenderSpec()` line in each renderer
+    defaults = {}
+    for name in render.__all__:
+        obj = getattr(render, name)
+        if inspect.isfunction(obj) and "spec" in (params := inspect.signature(obj).parameters):
+            defaults[name] = params["spec"].default
+    assert "render_pyramid" in defaults and "iter_compare" in defaults
+    assert all(isinstance(d, render.RenderSpec) for d in defaults.values()), defaults

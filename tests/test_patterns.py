@@ -244,7 +244,8 @@ def test_highlight_skips_the_rows_below_a_read_maximum_under_the_pattern():
     _matches_the_window_scan(p, [0, 1])  # no read maximum is below 1: every row
 
 
-def test_a_cut_mask_in_a_recycled_map_is_false_below_the_cut(monkeypatch):
+@pytest.mark.parametrize("pattern", [[3], [3, 1]], ids=["single", "multi"])
+def test_a_cut_mask_in_a_recycled_map_is_false_below_the_cut(monkeypatch, pattern):
     if not hasattr(mmap, "MADV_HUGEPAGE"):
         pytest.skip("buffers are memory maps on Linux only")
     monkeypatch.setattr(Triangle, "_spares", spares := engine._Spares())
@@ -253,7 +254,7 @@ def test_a_cut_mask_in_a_recycled_map_is_false_below_the_cut(monkeypatch):
     zeros = highlight_pyramid(p, [0])  # mostly True in the 0/1 rows below any cut
     del zeros
     assert len(spares.maps) == 1
-    mask = _matches_the_window_scan(p, [3])  # cut at the first read maximum under 3
+    mask = _matches_the_window_scan(p, pattern)  # cut at the first read maximum under 3
     assert spares.maps == [] and mask.count() > 0  # the mask took the map of the one before
 
 

@@ -760,7 +760,9 @@ def test_diagram_blocks_off_centre_match_per_row_references(margin, cp):
     # diagram's block sits off the canvas origin, centered by the floor of half
     # the margin; from cp 3 on, a pixel row crosses the 70-digit PBM line
     n = 24
-    d = eca_evolve(impulse_row(n + margin, 5), 30, 7)
+    first = np.zeros(n + margin, dtype=np.uint8)
+    first[5] = 1  # off centre
+    d = eca_evolve(first, 30, 7)
     diagram = d.rows.tolist()
     p = evolve([(i * i + i // 3) % 3 for i in range(n)])
     mask = highlight_pyramid(p, [1])
@@ -783,7 +785,9 @@ def test_rasters_written_in_small_bands_match_per_row_references(monkeypatch, ba
     # pixels, so one cell row a band): bands split the diagram's 7-row block, hold the
     # gap between the panels with a row on either side, or hold one cell row alone
     n = 9
-    d = eca_evolve(impulse_row(n + 2, 4), 30, 6)
+    first = np.zeros(n + 2, dtype=np.uint8)
+    first[4] = 1  # off centre
+    d = eca_evolve(first, 30, 6)
     diagram = d.rows.tolist()
     values = [(i * i + i // 3) % 3 for i in range(n)]
     p = evolve(values)
@@ -807,7 +811,8 @@ def test_rasters_wider_than_one_band_match_per_row_references(cp):
     # inside its pyramid panel, whose rows alternate odd and even centred offsets, so rows
     # of both kinds lie on both sides of a band edge; at cp 2 the pyramid's own raster is too
     n = 301
-    row = impulse_row(n, 120)
+    row = np.zeros(n, dtype=np.uint8)
+    row[120] = 1  # off centre
     d = eca_evolve(row, 90, n - 1)
     diagram = d.rows.tolist()
     p = evolve(row)
